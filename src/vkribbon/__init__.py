@@ -56,7 +56,6 @@ from .plate import (
     PlateSystem,
     RecoveryInputs,
     build_recovery,
-    embed_ribbon_state,
 )
 from .ribbon import (
     RibbonForces,

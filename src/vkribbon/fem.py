@@ -11,7 +11,14 @@
 
 All meshes are uniform.  Evaluation at quadrature points is exposed as
 sparse sampling matrices (rows = quadrature points, columns = DOFs) so
-that energies, gradients, and Hessians reduce to vectorized array work.
+that energies and gradients reduce to vectorized array work.
+
+Hessians are assembled element by element: on a uniform mesh the basis
+derivatives at an element's quadrature points are the same reference
+table for every element, so all element matrices come out of one batched
+product of that table with the per-point densities.  An ElementAssembly
+plan, built once per system, scatters them with a single bincount into
+the fixed CSC pattern of the free DOFs.
 """
 
 from __future__ import annotations
@@ -147,6 +154,11 @@ class Quadrature1D:
         self.weights = np.tile(self.rule.weights * mesh.h, mesh.n)
         self.n_points = self.points.size
 
+    def by_element(self, values) -> np.ndarray:
+        """Point values regrouped as (element, local point, ...)."""
+        v = np.asarray(values)
+        return v.reshape((self.mesh.n, self.rule.order) + v.shape[1:])
+
 
 class Quadrature2D:
     """Tensor Gauss rule on a 2D mesh.
@@ -189,6 +201,13 @@ class Quadrature2D:
     def spread(self, station_values: np.ndarray) -> np.ndarray:
         """Broadcast per-station values back to the full point set."""
         return np.repeat(np.asarray(station_values), self.n_transverse)
+
+    def by_element(self, values) -> np.ndarray:
+        """Point values regrouped as (element ex*ny + ey, local point kx*p + ky, ...)."""
+        v = np.asarray(values)
+        p, m = self.rule.order, self.mesh
+        v = v.reshape((m.nx, p, m.ny, p) + v.shape[1:]).swapaxes(1, 2)
+        return v.reshape((m.nx * m.ny, p * p) + v.shape[4:])
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +334,23 @@ class Hermite3Space:
         return _evaluate_1d(self, coeffs, x, deriv)
 
 
+def _sample_csr(vals: np.ndarray, cols: np.ndarray, n_dofs: int) -> sp.csr_matrix:
+    """CSR matrix with row q holding vals[q] at cols[q], columns sorted.
+
+    Every element's DOFs are a translate of the first element's, so one
+    permutation sorts every row."""
+    order = np.argsort(cols[0])
+    if np.any(np.diff(order) < 0):
+        vals, cols = vals.take(order, axis=1), cols.take(order, axis=1)
+    n, k = cols.shape
+    return sp.csr_matrix(
+        (vals.ravel(), cols.ravel(), np.arange(0, n * k + 1, k)), shape=(n, n_dofs)
+    )
+
+
 def _sample_matrix_1d(space, quad: Quadrature1D, deriv: int) -> sp.csr_matrix:
     vals = space.ref_basis(quad.ref, deriv)
-    cols = space.element_dofs(quad.element)
-    rows = np.repeat(np.arange(quad.n_points), cols.shape[1])
-    mat = sp.coo_matrix(
-        (vals.ravel(), (rows, cols.ravel())), shape=(quad.n_points, space.n_dofs)
-    )
-    return mat.tocsr()
+    return _sample_csr(vals, space.element_dofs(quad.element), space.n_dofs)
 
 
 def _evaluate_1d(space, coeffs, x, deriv):
@@ -414,17 +442,8 @@ class BFSSpace:
         self.n_dofs = 4 * mesh.n_nodes
 
     def element_dofs(self, ex, ey):
-        nodes = [
-            self.mesh.node_index(ex, ey),
-            self.mesh.node_index(ex + 1, ey),
-            self.mesh.node_index(ex, ey + 1),
-            self.mesh.node_index(ex + 1, ey + 1),
-        ]
-        cols = []
-        for n in nodes:
-            for k in range(4):
-                cols.append(4 * n + k)
-        return np.stack(cols, axis=-1)
+        nodes = Q1Space(self.mesh).element_dofs(ex, ey)
+        return (4 * nodes[..., None] + np.arange(4)).reshape(nodes.shape[:-1] + (16,))
 
     def ref_basis(self, sx, sy, dx, dy):
         bx = _hermite_ref(sx, dx, self.mesh.hx)
@@ -463,11 +482,7 @@ class BFSSpace:
 def _sample_matrix_2d(space, quad: Quadrature2D, dx: int, dy: int) -> sp.csr_matrix:
     vals = space.ref_basis(quad.ref_x, quad.ref_y, dx, dy)
     cols = space.element_dofs(quad.element_x, quad.element_y)
-    rows = np.repeat(np.arange(quad.n_points), cols.shape[1])
-    mat = sp.coo_matrix(
-        (vals.ravel(), (rows, cols.ravel())), shape=(quad.n_points, space.n_dofs)
-    )
-    return mat.tocsr()
+    return _sample_csr(vals, cols, space.n_dofs)
 
 
 def _evaluate_2d(space, coeffs, x, y, dx, dy):
@@ -587,6 +602,13 @@ def dirichlet_2d(mesh: Mesh2D, bc: BoundaryData):
     return mask, values
 
 
+def check_traces(u: np.ndarray, mask: np.ndarray, values: np.ndarray, tol: float) -> None:
+    """Raise if the constrained entries of u miss their boundary values by more than tol."""
+    gap = np.abs(u[mask] - values[mask])
+    if gap.size and gap.max() > tol:
+        raise ValueError(f"state violates boundary data by {gap.max():.3e}")
+
+
 def apply_dirichlet(vector: np.ndarray, mask: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Overwrite constrained DOFs with their boundary values (idempotent)."""
     out = np.array(vector, dtype=float, copy=True)
@@ -632,6 +654,146 @@ def scaled_operators_2d(mesh: Mesh2D, eps: float, fields: dict, points) -> dict:
         axis=-1,
     )
     return {"E": E, "grad_w": grad, "hess_w": hess}
+
+
+# ---------------------------------------------------------------------------
+# element-local assembly
+
+
+class ElementAssembly:
+    """Fixed-pattern assembly of element matrices into the free-DOF block.
+
+    ``dofs`` (E, k) lists the global DOFs of each element, ``free`` masks
+    the unconstrained DOFs, and ``rows`` (nq, r, k) holds r reference rows
+    (scaled basis derivatives) at the nq quadrature points of an element,
+    the same table for every element of a uniform mesh.  ``coupling``
+    (r, r) marks the row pairs a density may couple.  The CSC pattern is
+    the free-free element connectivity restricted to DOF pairs that coupled
+    rows reach; each assembly is one batched product and one bincount into
+    a fresh ``data`` array over it.
+    """
+
+    def __init__(self, dofs: np.ndarray, free: np.ndarray, rows: np.ndarray, coupling):
+        nf = int(free.sum())
+        support = (rows != 0).astype(float)
+        local = np.einsum("qra,rs,qsb->ab", support, np.asarray(coupling, float), support) > 0
+        index = np.full(free.size, -1)
+        index[free] = np.arange(nf)
+        loc = index[dofs]
+        # entry (e, a, b) sits at row loc[e, a], column loc[e, b]; keys are
+        # column-major, and entries on constrained DOFs land in a dropped bin
+        keep = (loc[:, :, None] >= 0) & (loc[:, None, :] >= 0) & local
+        key, slot = np.unique((loc[:, None, :] * nf + loc[:, :, None])[keep], return_inverse=True)
+        self.slot = np.full(keep.size, key.size)
+        self.slot[keep.ravel()] = slot
+        self.free, self.n_free, self.nnz = free, nf, key.size
+        self.rows, self.rows_t = rows, rows.reshape(-1, dofs.shape[1]).T.copy()
+        self.indices = (key % nf).astype(np.int32)
+        self.indptr = np.searchsorted(key // nf, np.arange(nf + 1)).astype(np.int32)
+
+    def assemble(self, dens: np.ndarray) -> sp.csc_matrix:
+        """Free-DOF matrix of sum_e sum_q rows_q^T dens[e, q] rows_q.
+
+        ``dens`` (E, nq, r, r) carries the quadrature weights."""
+        m, k = self.rows_t.shape[1], self.rows.shape[-1]
+        K = np.empty((len(dens), k, k))
+        # element chunks keep the (chunk, nq, r, k) intermediate near 2 MB
+        step = max(1, 2**18 // self.rows.size)
+        for lo in range(0, len(dens), step):
+            K[lo : lo + step] = self.rows_t @ (dens[lo : lo + step] @ self.rows).reshape(-1, m, k)
+        data = np.bincount(self.slot, weights=K.ravel(), minlength=self.nnz + 1)
+        return sp.csc_matrix(
+            (data[: self.nnz], self.indices, self.indptr), shape=(self.n_free, self.n_free)
+        )
+
+    def embed(self, K: sp.csc_matrix) -> sp.csc_matrix:
+        """Full-size copy of a free-DOF matrix; constrained rows and columns are zero."""
+        n = self.free.size
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        indptr[1:][self.free] = np.diff(K.indptr)
+        rows = np.flatnonzero(self.free)[K.indices]
+        return sp.csc_matrix((K.data, rows, np.cumsum(indptr)), shape=(n, n))
+
+
+class FieldSystem:
+    """What the ribbon and plate systems share: packed named fields with
+    Dirichlet constraints, dead loads, the metric, the weak residual and
+    the Hessians built from one element-local assembly.
+
+    Subclasses provide energy, sqdist, grad_energy, grad_halfsqdist,
+    ``_element_tables`` (dofs, rows, coupling) for the assembly plan and
+    ``_free_hessian(anchor, u, cw, cr)``: the free-DOF Hessian at u of
+    cw * (elastic part of phi) + cr * D^2(anchor, .)/2.  Both parts are
+    linear in the form constants and the membrane stress, so the fused
+    incremental Hessian costs one assembly.
+    """
+
+    def _set_layout(self, sizes: dict, mask: np.ndarray, values: np.ndarray) -> None:
+        self.offsets = np.concatenate([[0], np.cumsum(list(sizes.values()))])
+        self.n_dofs = int(self.offsets[-1])
+        self.slices = {
+            name: slice(a, b) for name, a, b in zip(sizes, self.offsets[:-1], self.offsets[1:])
+        }
+        self.bc_mask, self.bc_values, self.free = mask, values, ~mask
+        self._plan = None  # Hessian assembly plan, built on first use
+
+    def _set_loads(self, loads) -> None:
+        """Dead loads as (field, value sampling matrix, density at the points)."""
+        active = any(np.any(dens != 0.0) for _, _, dens in loads)
+        self._loads = loads if active else []
+
+    def split(self, u: np.ndarray):
+        return tuple(u[sl] for sl in self.slices.values())
+
+    def zero_state(self) -> np.ndarray:
+        u = np.zeros(self.n_dofs)
+        u[self.bc_mask] = self.bc_values[self.bc_mask]
+        return u
+
+    def check_admissible(self, u: np.ndarray, tol: float = 1e-12) -> None:
+        check_traces(u, self.bc_mask, self.bc_values, tol)
+
+    def metric(self, ua: np.ndarray, ub: np.ndarray) -> float:
+        return float(np.sqrt(max(self.sqdist(ua, ub), 0.0)))
+
+    def _force_value(self, u: np.ndarray) -> float:
+        return float(sum(np.dot(self.wq * f, B @ u[self.slices[n]]) for n, B, f in self._loads))
+
+    def _force_grad(self) -> np.ndarray:
+        g = np.zeros(self.n_dofs)
+        for name, B, f in self._loads:
+            g[self.slices[name]] = B.T @ (self.wq * f)
+        return g
+
+    def weak_residual_vector(self, prev: np.ndarray, nxt: np.ndarray, tau: float) -> np.ndarray:
+        """Pairings of the weak equations (one block per field) against every
+        interior basis function, with difference quotients in the viscous
+        channels; identical to the DOF gradient of the incremental
+        functional v -> phi(v) + D^2(prev, v) / (2 tau)."""
+        if tau <= 0.0:
+            raise ValueError("tau must be positive")
+        return self.grad_energy(nxt) + self.grad_halfsqdist(prev, nxt) / tau
+
+    def weak_residual(self, prev, nxt, tau: float) -> float:
+        return float(np.linalg.norm(self.weak_residual_vector(prev, nxt, tau)))
+
+    def _hessian_plan(self) -> ElementAssembly:
+        if self._plan is None:
+            dofs, rows, coupling = self._element_tables()
+            self._plan = ElementAssembly(dofs, self.free, rows, coupling)
+        return self._plan
+
+    def incremental_hessian(self, anchor: np.ndarray, u: np.ndarray, tau: float) -> sp.csc_matrix:
+        """Free-DOF Hessian of v -> phi(v) + D^2(anchor, v) / (2 tau) at u."""
+        return self._free_hessian(anchor, u, 1.0, 1.0 / tau)
+
+    def hess_energy(self, u: np.ndarray) -> sp.csc_matrix:
+        """Full-size Hessian of phi at u; constrained rows and columns are zero."""
+        return self._hessian_plan().embed(self._free_hessian(u, u, 1.0, 0.0))
+
+    def hess_halfsqdist(self, anchor: np.ndarray, u: np.ndarray) -> sp.csc_matrix:
+        """Full-size Hessian of D^2(anchor, .)/2 at u; constrained rows and columns are zero."""
+        return self._hessian_plan().embed(self._free_hessian(anchor, u, 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

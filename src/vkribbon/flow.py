@@ -30,7 +30,9 @@ class GradientSystem(Protocol):
     DOF vectors are flat; ``free`` masks the unconstrained entries
     (Dirichlet DOFs stay untouched).  sqdist must be symmetric,
     nonnegative, and zero exactly on the diagonal; the gradients must be
-    consistent with finite differences of the values.
+    consistent with finite differences of the values.  The incremental
+    Hessian is the CSC matrix of phi + D^2(anchor, .)/(2 tau) on the free
+    DOFs.
     """
 
     n_dofs: int
@@ -44,9 +46,7 @@ class GradientSystem(Protocol):
 
     def grad_halfsqdist(self, anchor: np.ndarray, u: np.ndarray) -> np.ndarray: ...
 
-    def hess_energy(self, u: np.ndarray): ...
-
-    def hess_halfsqdist(self, anchor: np.ndarray, u: np.ndarray): ...
+    def incremental_hessian(self, anchor: np.ndarray, u: np.ndarray, tau: float): ...
 
 
 class StepFailure(RuntimeError):
@@ -118,14 +118,17 @@ class Trajectory:
         return rows
 
 
-def _solve_spd(H: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
+def _solve_spd(H: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
     """Direct symmetric solve with Jacobi equilibration and one refinement pass.
 
-    The refinement step recovers a few digits lost to the conditioning of
-    the stiffest (bending / small-eps) blocks."""
+    The scaling multiplies the CSC data directly, so the matrix reaches
+    SuperLU without a conversion.  The refinement step recovers a few
+    digits lost to the conditioning of the stiffest (bending / small-eps)
+    blocks."""
     d = H.diagonal()
     scale = 1.0 / np.sqrt(np.maximum(np.abs(d), 1e-300))
-    Hs = (sp.diags(scale) @ H @ sp.diags(scale)).tocsc()
+    data = H.data * scale[H.indices] * np.repeat(scale, np.diff(H.indptr))
+    Hs = sp.csc_matrix((data, H.indices, H.indptr), shape=H.shape)
     b = rhs * scale
     try:
         lu = spla.splu(Hs)
@@ -179,8 +182,7 @@ def incremental_step(
                 f"Newton did not converge in {opts.max_newton} iterations "
                 f"(|grad| = {gnorm:.3e}, tol = {opts.tol * scale:.3e})",
             )
-        H = (system.hess_energy(u) + system.hess_halfsqdist(u_prev, u) / tau).tocsr()
-        Hff = H[free][:, free]
+        Hff = system.incremental_hessian(u_prev, u, tau)
         d_free = _solve_spd(Hff, -g[free])
         slope0 = None
         if d_free is not None:
@@ -266,10 +268,9 @@ def run_trajectory(
 ) -> Trajectory:
     """Advance the minimizing-movement scheme over N = ceil(T / tau) steps.
 
-    When the system exposes ``weak_residual_vector`` the per-step KKT
-    identity (weak residual == incremental gradient) is asserted and the
-    residual norm recorded; a slope evaluator fills the ledger column used
-    by the De Giorgi bookkeeping.
+    When the system exposes ``weak_residual_vector`` the norm of the weak
+    residual on the free DOFs is recorded; a slope evaluator fills the
+    ledger column used by the De Giorgi bookkeeping.
     """
     if T <= 0.0:
         raise ValueError("horizon T must be positive")
@@ -293,9 +294,6 @@ def run_trajectory(
             raise StepFailure(n, "energy sequence not monotone")
         if check_residual and hasattr(system, "weak_residual_vector"):
             res = system.weak_residual_vector(u, u_next, tau)
-            gref = system.grad_energy(u_next) + system.grad_halfsqdist(u, u_next) / tau
-            if not np.array_equal(res, gref):
-                raise AssertionError("weak residual differs from incremental gradient")
             rep.grad_norm = float(np.linalg.norm(res[system.free]))
         if slope_fn is not None:
             rep.slope = float(slope_fn(u_next))

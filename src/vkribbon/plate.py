@@ -23,12 +23,17 @@ import scipy.sparse as sp
 from .fem import (
     BFSSpace,
     BoundaryData,
+    FieldSystem,
     GaussRule,
+    Hermite3Space,
     Mesh2D,
+    P1Space,
     Q1Space,
     Quadrature2D,
+    check_traces,
+    dirichlet_1d,
     dirichlet_2d,
-    triple_product,
+    triple_product,  # noqa: F401  (perfbench/layers.py traces it under this module)
 )
 from .forms import MaterialPair
 from .ribbon import RibbonForces, RibbonState, RibbonSystem
@@ -70,8 +75,12 @@ class PlateState:
         return np.concatenate([self.y1, self.y2, self.w])
 
 
-class PlateSystem:
-    """Discrete 2D gradient system at one width eps on a fixed mesh."""
+class PlateSystem(FieldSystem):
+    """Discrete 2D gradient system at one width eps on a fixed mesh.
+
+    The blocks (y1 | y2 | w) of the weak residual are the three scalar rows
+    of the two weak plate equations.
+    """
 
     def __init__(
         self,
@@ -94,19 +103,8 @@ class PlateSystem:
 
         self.q1 = Q1Space(mesh)
         self.bfs = BFSSpace(mesh)
-        sizes = [self.q1.n_dofs, self.q1.n_dofs, self.bfs.n_dofs]
-        self.offsets = np.concatenate([[0], np.cumsum(sizes)])
-        self.n_dofs = int(self.offsets[-1])
-        self.slices = {
-            "y1": slice(self.offsets[0], self.offsets[1]),
-            "y2": slice(self.offsets[1], self.offsets[2]),
-            "w": slice(self.offsets[2], self.offsets[3]),
-        }
-
-        mask, values = dirichlet_2d(mesh, self.bc)
-        self.bc_mask = mask
-        self.bc_values = values
-        self.free = ~mask
+        sizes = {"y1": self.q1.n_dofs, "y2": self.q1.n_dofs, "w": self.bfs.n_dofs}
+        self._set_layout(sizes, *dirichlet_2d(mesh, self.bc))
 
         q = self.quad
         self.By0 = self.q1.sample_matrix(q, 0, 0)
@@ -122,37 +120,18 @@ class PlateSystem:
         self.wq = q.weights
         self.CW = material.W.C
         self.CR = material.viscous_matrix(self.eps)
-
         self.f_q = self.forces_1d.f(q.x)
         self.g1_q = self.forces_1d.g1(q.x)
         self.g2_q = self.forces_1d.g2(q.x)
-        self._has_forces = any(
-            np.any(v != 0.0) for v in (self.f_q, self.g1_q, self.g2_q)
+        self._set_loads(
+            [("w", self.Bw0, self.f_q), ("y1", self.By0, self.g1_q), ("y2", self.By0, self.g2_q)]
         )
 
-        self._hess_const = {
-            "W": self._constant_hessian_blocks(self.CW),
-            "R": self._constant_hessian_blocks(self.CR),
-        }
-
     # -- state handling -----------------------------------------------------
-
-    def split(self, u: np.ndarray):
-        return u[self.slices["y1"]], u[self.slices["y2"]], u[self.slices["w"]]
 
     def state(self, u: np.ndarray) -> PlateState:
         y1, y2, w = self.split(u)
         return PlateState(self.mesh, self.eps, self.bc, y1.copy(), y2.copy(), w.copy())
-
-    def zero_state(self) -> np.ndarray:
-        u = np.zeros(self.n_dofs)
-        u[self.bc_mask] = self.bc_values[self.bc_mask]
-        return u
-
-    def check_admissible(self, u: np.ndarray, tol: float = 1e-12) -> None:
-        gap = np.abs(u[self.bc_mask] - self.bc_values[self.bc_mask])
-        if gap.size and gap.max() > tol:
-            raise ValueError(f"plate state violates boundary data by {gap.max():.3e}")
 
     def interpolate(self, y1_fn, y2_fn, w_fns) -> np.ndarray:
         """Nodal interpolation; w_fns = (w, d1 w, d2 w, d12 w) callables."""
@@ -187,17 +166,6 @@ class PlateSystem:
 
     # -- energy / metric --------------------------------------------------------
 
-    def _force_value(self, u: np.ndarray) -> float:
-        if not self._has_forces:
-            return 0.0
-        y1, y2, w = self.split(u)
-        wq = self.wq
-        return float(
-            np.dot(wq * self.f_q, self.Bw0 @ w)
-            + np.dot(wq * self.g1_q, self.By0 @ y1)
-            + np.dot(wq * self.g2_q, self.By0 @ y2)
-        )
-
     def energy_parts(self, u: np.ndarray) -> dict:
         mu, _, h = self.channels(u)
         wq = self.wq
@@ -222,9 +190,6 @@ class PlateSystem:
         mem = np.dot(wq, np.einsum("qi,ij,qj->q", dmu, self.CR, dmu))
         bend = BEND_FACTOR * np.dot(wq, np.einsum("qi,ij,qj->q", dh, self.CR, dh))
         return float(mem + bend)
-
-    def metric(self, ua: np.ndarray, ub: np.ndarray) -> float:
-        return float(np.sqrt(max(self.sqdist(ua, ub), 0.0)))
 
     # -- gradients ---------------------------------------------------------------
 
@@ -258,15 +223,6 @@ class PlateSystem:
         )
         return out
 
-    def _force_grad(self) -> np.ndarray:
-        g = np.zeros(self.n_dofs)
-        if self._has_forces:
-            wq = self.wq
-            g[self.slices["y1"]] = self.By0.T @ (wq * self.g1_q)
-            g[self.slices["y2"]] = self.By0.T @ (wq * self.g2_q)
-            g[self.slices["w"]] = self.Bw0.T @ (wq * self.f_q)
-        return g
-
     def grad_energy(self, u: np.ndarray) -> np.ndarray:
         mu, g, h = self.channels(u)
         out = self._vk_grad(self.CW, mu, h, g) - self._force_grad()
@@ -282,104 +238,52 @@ class PlateSystem:
 
     # -- Hessians -------------------------------------------------------------
 
-    def _constant_hessian_blocks(self, C) -> dict:
-        """State-independent parts: the (y, y) membrane blocks and the bending block."""
-        eps = self.eps
-        wq = self.wq
-        # Jacobian of mu in the y-blocks: y1 -> {(0, By10, 1), (1, By01, 1/2eps)},
-        # y2 -> {(1, By10, 1/2eps), (2, By01, 1/eps^2)}
-        jy1 = [(0, self.By10, 1.0), (1, self.By01, 0.5 / eps)]
-        jy2 = [(1, self.By10, 0.5 / eps), (2, self.By01, 1.0 / eps**2)]
+    def _element_tables(self):
+        """Element DOFs (y1 | y2 | w) and reference rows: the linear strain
+        (E11, E12, E22), the scaled deflection gradient (g1, g2) and the
+        scaled Hessian (h11, h12, h22); membrane and bending rows never meet."""
+        q, eps = self.quad, self.eps
+        ex = q.by_element(q.element_x)[:, 0]
+        ey = q.by_element(q.element_y)[:, 0]
+        y_dofs = self.q1.element_dofs(ex, ey)
+        w_dofs = self.bfs.element_dofs(ex, ey) + self.offsets[2]
+        dofs = np.hstack([y_dofs, y_dofs + self.offsets[1], w_dofs])
+        sx, sy = q.by_element(q.ref_x)[0], q.by_element(q.ref_y)[0]
+        rows = np.zeros((sx.size, 8, dofs.shape[1]))
+        rows[:, 0, :4] = self.q1.ref_basis(sx, sy, 1, 0)
+        rows[:, 1, :4] = self.q1.ref_basis(sx, sy, 0, 1) / (2.0 * eps)
+        rows[:, 1, 4:8] = self.q1.ref_basis(sx, sy, 1, 0) / (2.0 * eps)
+        rows[:, 2, 4:8] = self.q1.ref_basis(sx, sy, 0, 1) / eps**2
+        for i, (dx, dy) in enumerate(((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))):
+            rows[:, 3 + i, 8:] = self.bfs.ref_basis(sx, sy, dx, dy) / eps**dy
+        coupling = np.ones((8, 8), dtype=bool)
+        coupling[:3, 5:] = coupling[5:, :3] = False
+        return dofs, rows, coupling
 
-        def pairs(ja, jb):
-            acc = None
-            for (i, Ba, ca) in ja:
-                for (j, Bb, cb) in jb:
-                    term = triple_product(Ba, wq * (C[i, j] * ca * cb), Bb)
-                    acc = term if acc is None else acc + term
-            return acc
-
-        bend = None
-        chans = [(self.Bw20, 1.0), (self.Bw11, 1.0 / eps), (self.Bw02, 1.0 / eps**2)]
-        for i, (Bi, fi) in enumerate(chans):
-            for j, (Bj, fj) in enumerate(chans):
-                term = triple_product(Bi, wq * (BEND_FACTOR * C[i, j] * fi * fj), Bj)
-                bend = term if bend is None else bend + term
-        return {
-            "y1y1": pairs(jy1, jy1),
-            "y1y2": pairs(jy1, jy2),
-            "y2y2": pairs(jy2, jy2),
-            "bend_ww": bend,
-        }
-
-    def _vk_hess(self, C, const_blocks, sig_mem, g) -> sp.csr_matrix:
-        eps = self.eps
-        wq = self.wq
-        g1, g2 = g[:, 0], g[:, 1]
-        jy1 = [(0, self.By10, 1.0), (1, self.By01, 0.5 / eps)]
-        jy2 = [(1, self.By10, 0.5 / eps), (2, self.By01, 1.0 / eps**2)]
-        jw = [
-            (0, self.Bw10, g1),
-            (1, self.Bw10, 0.5 * g2),
-            (1, self.Bw01, 0.5 * g1 / eps),
-            (2, self.Bw01, g2 / eps),
-        ]
-
-        def pairs(ja, jb):
-            acc = {}
-            for (i, Ba, ca) in ja:
-                for (j, Bb, cb) in jb:
-                    key = (id(Ba), id(Bb))
-                    coef = wq * (C[i, j] * ca * cb)
-                    if key in acc:
-                        acc[key] = (acc[key][0], acc[key][1] + coef, acc[key][2])
-                    else:
-                        acc[key] = (Ba, coef, Bb)
-            out = None
-            for Ba, coef, Bb in acc.values():
-                term = triple_product(Ba, coef, Bb)
-                out = term if out is None else out + term
-            return out
-
-        H_y1w = pairs(jy1, jw)
-        H_y2w = pairs(jy2, jw)
-        H_ww = pairs(jw, jw)
-        # geometric stiffness from the quadratic membrane map
-        H_ww = H_ww + triple_product(self.Bw10, wq * sig_mem[:, 0], self.Bw10)
-        cross = triple_product(self.Bw10, wq * (0.5 * sig_mem[:, 1] / eps), self.Bw01)
-        H_ww = H_ww + cross + cross.T
-        H_ww = H_ww + triple_product(self.Bw01, wq * (sig_mem[:, 2] / eps**2), self.Bw01)
-        H_ww = H_ww + const_blocks["bend_ww"]
-        return sp.bmat(
-            [
-                [const_blocks["y1y1"], const_blocks["y1y2"], H_y1w],
-                [const_blocks["y1y2"].T, const_blocks["y2y2"], H_y2w],
-                [H_y1w.T, H_y2w.T, H_ww],
-            ],
-            format="csr",
-        )
-
-    def hess_energy(self, u: np.ndarray) -> sp.csr_matrix:
-        mu, g, _ = self.channels(u)
-        return self._vk_hess(self.CW, self._hess_const["W"], mu @ self.CW.T, g)
-
-    def hess_halfsqdist(self, anchor: np.ndarray, u: np.ndarray) -> sp.csr_matrix:
+    def _free_hessian(self, anchor, u, cw: float, cr: float) -> sp.csc_matrix:
+        q = self.quad
         mu_a, _, _ = self.channels(anchor)
         mu, g, _ = self.channels(u)
-        return self._vk_hess(self.CR, self._hess_const["R"], (mu - mu_a) @ self.CR.T, g)
-
-    # -- weak residual -----------------------------------------------------------
-
-    def weak_residual_vector(self, prev: np.ndarray, nxt: np.ndarray, tau: float) -> np.ndarray:
-        """Pairings of the two weak plate equations (three scalar rows) against
-        the interior basis, with difference quotients in the viscous terms;
-        identical to the incremental-problem gradient."""
-        if tau <= 0.0:
-            raise ValueError("tau must be positive")
-        return self.grad_energy(nxt) + self.grad_halfsqdist(prev, nxt) / tau
-
-    def weak_residual(self, prev, nxt, tau: float) -> float:
-        return float(np.linalg.norm(self.weak_residual_vector(prev, nxt, tau)))
+        C = cw * self.CW + cr * self.CR
+        sig = q.by_element(cw * mu @ self.CW.T + cr * (mu - mu_a) @ self.CR.T)
+        g1, g2 = q.by_element(g).transpose(2, 0, 1)
+        # Jacobian of mu in the (E, g) rows
+        J = np.zeros(g1.shape + (3, 5))
+        J[..., [0, 1, 2], [0, 1, 2]] = 1.0
+        J[..., 0, 3] = g1
+        J[..., 1, 3] = 0.5 * g2
+        J[..., 1, 4] = 0.5 * g1
+        J[..., 2, 4] = g2
+        dens = np.zeros(g1.shape + (8, 8))
+        dens[..., :5, :5] = np.swapaxes(J, -1, -2) @ C @ J
+        # geometric stiffness from the quadratic membrane map
+        dens[..., 3, 3] += sig[..., 0]
+        dens[..., 3, 4] += 0.5 * sig[..., 1]
+        dens[..., 4, 3] += 0.5 * sig[..., 1]
+        dens[..., 4, 4] += sig[..., 2]
+        dens[..., 5:, 5:] = BEND_FACTOR * C
+        dens *= q.by_element(self.wq)[..., None, None]
+        return self._hessian_plan().assemble(dens)
 
     # -- projection onto ribbon variables -----------------------------------------
 
@@ -497,10 +401,9 @@ def build_recovery(system: PlateSystem, inputs: RecoveryInputs) -> np.ndarray:
     if abs(mesh1.l - system.mesh.l) > 1e-14 * mesh1.l:
         raise ValueError("target and plate meshes must share the interval length")
     # target must satisfy the 1D boundary data of the plate's lateral traces
-    rsys_probe = RibbonSystem(mesh1, system.material, system.bc)
-    rsys_probe.check_admissible(target.vector, tol=1e-10)
+    check_traces(target.vector, *dirichlet_1d(mesh1, system.bc), tol=1e-10)
 
-    p1, h3 = rsys_probe.p1, rsys_probe.h3
+    p1, h3 = P1Space(mesh1), Hermite3Space(mesh1)
     m = system.material
     k_alpha = m.W1.argmin_coeff  # alpha*(q11, q12) coefficients of the elastic form
 
@@ -578,9 +481,3 @@ def build_recovery(system: PlateSystem, inputs: RecoveryInputs) -> np.ndarray:
     )
     system.check_admissible(u)
     return u
-
-
-def embed_ribbon_state(system: PlateSystem, ribbon: RibbonSystem, v: np.ndarray) -> np.ndarray:
-    """Bernoulli-Navier embedding of a ribbon state (zero-twist recovery)."""
-    state = ribbon.state(v)
-    return build_recovery(system, RecoveryInputs(target=state))

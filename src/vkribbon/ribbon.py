@@ -27,6 +27,7 @@ from numpy.polynomial import Polynomial
 
 from .fem import (
     BoundaryData,
+    FieldSystem,
     GaussRule,
     Hermite3Space,
     Mesh1D,
@@ -34,7 +35,7 @@ from .fem import (
     Quadrature1D,
     dirichlet_1d,
     poly_from_coeffs,
-    triple_product,
+    triple_product,  # noqa: F401  (perfbench/layers.py traces it under this module)
 )
 from .forms import MaterialPair
 
@@ -113,11 +114,12 @@ class SlopeSolution:
     L_norm: float
 
 
-class RibbonSystem:
+class RibbonSystem(FieldSystem):
     """Discrete gradient system (energy, metric, derivatives) on a fixed mesh.
 
     Instances are read-only after construction and safe to share; all
-    methods operate on packed DOF vectors (xi1 | xi2 | w | theta).
+    methods operate on packed DOF vectors (xi1 | xi2 | w | theta).  The
+    four blocks of the weak residual are the four weak equations.
     """
 
     def __init__(
@@ -136,20 +138,9 @@ class RibbonSystem:
 
         self.p1 = P1Space(mesh)
         self.h3 = Hermite3Space(mesh)
-        sizes = [self.p1.n_dofs, self.h3.n_dofs, self.h3.n_dofs, self.p1.n_dofs]
-        self.offsets = np.concatenate([[0], np.cumsum(sizes)])
-        self.n_dofs = int(self.offsets[-1])
-        self.slices = {
-            "xi1": slice(self.offsets[0], self.offsets[1]),
-            "xi2": slice(self.offsets[1], self.offsets[2]),
-            "w": slice(self.offsets[2], self.offsets[3]),
-            "theta": slice(self.offsets[3], self.offsets[4]),
-        }
-
-        mask, values = dirichlet_1d(mesh, self.bc)
-        self.bc_mask = mask
-        self.bc_values = values
-        self.free = ~mask
+        n1, n3 = self.p1.n_dofs, self.h3.n_dofs
+        sizes = {"xi1": n1, "xi2": n3, "w": n3, "theta": n1}
+        self._set_layout(sizes, *dirichlet_1d(mesh, self.bc))
 
         q = self.quad
         self.B_xi1_0 = self.p1.sample_matrix(q, 0)
@@ -165,19 +156,15 @@ class RibbonSystem:
         self.f_q = self.forces.f(q.points)
         self.g1_q = self.forces.g1(q.points)
         self.g2_q = self.forces.g2(q.points)
-        self._has_forces = any(
-            np.any(v != 0.0) for v in (self.f_q, self.g1_q, self.g2_q)
+        self._set_loads(
+            [
+                ("w", self.B_w_0, self.f_q),
+                ("xi1", self.B_xi1_0, self.g1_q),
+                ("xi2", self.B_xi2_0, self.g2_q),
+            ]
         )
 
     # -- state handling ----------------------------------------------------
-
-    def split(self, u: np.ndarray):
-        return (
-            u[self.slices["xi1"]],
-            u[self.slices["xi2"]],
-            u[self.slices["w"]],
-            u[self.slices["theta"]],
-        )
 
     def state(self, u: np.ndarray) -> RibbonState:
         xi1, xi2, w, theta = self.split(u)
@@ -200,16 +187,6 @@ class RibbonSystem:
         )
         u[self.bc_mask] = self.bc_values[self.bc_mask]
         return u
-
-    def zero_state(self) -> np.ndarray:
-        u = np.zeros(self.n_dofs)
-        u[self.bc_mask] = self.bc_values[self.bc_mask]
-        return u
-
-    def check_admissible(self, u: np.ndarray, tol: float = 1e-12) -> None:
-        gap = np.abs(u[self.bc_mask] - self.bc_values[self.bc_mask])
-        if gap.size and gap.max() > tol:
-            raise ValueError(f"state violates boundary data by {gap.max():.3e}")
 
     # -- strain channels ----------------------------------------------------
 
@@ -247,17 +224,6 @@ class RibbonSystem:
         )
         return float(mem + bend / 24.0)
 
-    def _force_value(self, u: np.ndarray) -> float:
-        if not self._has_forces:
-            return 0.0
-        xi1, xi2, w, _ = self.split(u)
-        wq = self.wq
-        return float(
-            np.dot(wq * self.f_q, self.B_w_0 @ w)
-            + np.dot(wq * self.g1_q, self.B_xi1_0 @ xi1)
-            + np.dot(wq * self.g2_q, self.B_xi2_0 @ xi2)
-        )
-
     def energy(self, u: np.ndarray) -> float:
         m = self.material
         return self._quad_value(m.W0.C0, m.W1.C, self.channels(u)) - self._force_value(u)
@@ -285,9 +251,6 @@ class RibbonSystem:
         m = self.material
         d = self.channels(ua).minus(self.channels(ub))
         return 2.0 * self._quad_value(m.R0.C0, m.R1.C, d)
-
-    def metric(self, ua: np.ndarray, ub: np.ndarray) -> float:
-        return float(np.sqrt(max(self.sqdist(ua, ub), 0.0)))
 
     # -- extended-form evaluation (independent code path for tests) --------
 
@@ -322,15 +285,6 @@ class RibbonSystem:
         g[self.slices["theta"]] = self.B_th_1.T @ s_t
         return g
 
-    def _force_grad(self) -> np.ndarray:
-        g = np.zeros(self.n_dofs)
-        if self._has_forces:
-            wq = self.wq
-            g[self.slices["xi1"]] = self.B_xi1_0.T @ (wq * self.g1_q)
-            g[self.slices["xi2"]] = self.B_xi2_0.T @ (wq * self.g2_q)
-            g[self.slices["w"]] = self.B_w_0.T @ (wq * self.f_q)
-        return g
-
     def grad_energy(self, u: np.ndarray) -> np.ndarray:
         m = self.material
         wprime = self.B_w_1 @ u[self.slices["w"]]
@@ -346,67 +300,45 @@ class RibbonSystem:
         g[self.bc_mask] = 0.0
         return g
 
-    def _quad_hess(self, C0, Q1, stress_a, wprime) -> sp.csr_matrix:
-        """Hessian of the quadratic-form integral at given membrane stress.
+    def _element_tables(self):
+        """Element DOFs (xi1 | xi2 | w | theta) and reference rows xi1',
+        xi2'', w', w'', theta'; the extended form couples w' to xi1' and
+        theta' to w''."""
+        q = self.quad
+        e = q.by_element(q.element)[:, 0]
+        p1_dofs, h3_dofs = self.p1.element_dofs(e), self.h3.element_dofs(e)
+        off = self.offsets
+        dofs = np.hstack([p1_dofs, h3_dofs + off[1], h3_dofs + off[2], p1_dofs + off[3]])
+        s = q.rule.points
+        rows = np.zeros((s.size, 5, dofs.shape[1]))
+        rows[:, 0, 0:2] = self.p1.ref_basis(s, 1)
+        rows[:, 1, 2:6] = self.h3.ref_basis(s, 2)
+        rows[:, 2, 6:10] = self.h3.ref_basis(s, 1)
+        rows[:, 3, 6:10] = self.h3.ref_basis(s, 2)
+        rows[:, 4, 10:12] = self.p1.ref_basis(s, 1)
+        coupling = np.eye(5, dtype=bool)
+        coupling[0, 2] = coupling[2, 0] = coupling[3, 4] = coupling[4, 3] = True
+        return dofs, rows, coupling
 
-        ``stress_a`` is the membrane stress C0 * (a or a-difference); it
-        feeds the geometric term of the w-block.
-        """
-        wq = self.wq
-        blocks = {}
-        blocks[("xi1", "xi1")] = triple_product(self.B_xi1_1, wq * C0, self.B_xi1_1)
-        blocks[("xi1", "w")] = triple_product(self.B_xi1_1, wq * C0 * wprime, self.B_w_1)
-        blocks[("xi2", "xi2")] = triple_product(self.B_xi2_2, wq * C0 / 12.0, self.B_xi2_2)
-        blocks[("w", "w")] = (
-            triple_product(self.B_w_1, wq * (C0 * wprime**2 + stress_a), self.B_w_1)
-            + triple_product(self.B_w_2, wq * Q1[0, 0] / 12.0, self.B_w_2)
-        )
-        blocks[("w", "theta")] = triple_product(self.B_w_2, wq * Q1[0, 1] / 12.0, self.B_th_1)
-        blocks[("theta", "theta")] = triple_product(self.B_th_1, wq * Q1[1, 1] / 12.0, self.B_th_1)
-        return self._assemble_blocks(blocks)
-
-    def _assemble_blocks(self, blocks) -> sp.csr_matrix:
-        names = ["xi1", "xi2", "w", "theta"]
-        grid = [[None] * 4 for _ in range(4)]
-        for (rn, cn), mat in blocks.items():
-            i, j = names.index(rn), names.index(cn)
-            grid[i][j] = mat if grid[i][j] is None else grid[i][j] + mat
-            if i != j:
-                grid[j][i] = mat.T if grid[j][i] is None else grid[j][i] + mat.T
-        return sp.bmat(grid, format="csr")
-
-    def hess_energy(self, u: np.ndarray) -> sp.csr_matrix:
-        m = self.material
-        ch = self.channels(u)
-        wprime = self.B_w_1 @ u[self.slices["w"]]
-        return self._quad_hess(m.W0.C0, m.W1.C, m.W0.C0 * ch.a, wprime)
-
-    def hess_halfsqdist(self, anchor: np.ndarray, u: np.ndarray) -> sp.csr_matrix:
-        m = self.material
-        d = self.channels(u).minus(self.channels(anchor))
-        wprime = self.B_w_1 @ u[self.slices["w"]]
-        return self._quad_hess(m.R0.C0, m.R1.C, m.R0.C0 * d.a, wprime)
-
-    # -- weak residual -------------------------------------------------------
-
-    def weak_residual_vector(self, prev: np.ndarray, nxt: np.ndarray, tau: float) -> np.ndarray:
-        """Pairings of the four weak equations against every interior basis
-        function, with difference quotients in the viscous channels.
-
-        The blocks (xi1 | xi2 | w | theta) are exactly the four equations;
-        the assembled object coincides with the DOF gradient of the
-        incremental functional v -> phi(v) + D^2(prev, v) / (2 tau).
-        """
-        if tau <= 0.0:
-            raise ValueError("tau must be positive")
-        return self.grad_energy(nxt) + self.grad_halfsqdist(prev, nxt) / tau
-
-    def weak_residual(self, prev, nxt, tau: float) -> float:
-        return float(np.linalg.norm(self.weak_residual_vector(prev, nxt, tau)))
+    def _free_hessian(self, anchor, u, cw: float, cr: float) -> sp.csc_matrix:
+        m, q = self.material, self.quad
+        a = self.channels(u).a
+        C0 = cw * m.W0.C0 + cr * m.R0.C0
+        stress = q.by_element(cw * m.W0.C0 * a + cr * m.R0.C0 * (a - self.channels(anchor).a))
+        wp = q.by_element(self.B_w_1 @ u[self.slices["w"]])
+        dens = np.zeros(wp.shape + (5, 5))
+        dens[..., 0, 0] = C0
+        dens[..., 0, 2] = dens[..., 2, 0] = C0 * wp
+        # the geometric term of the w-block carries the membrane stress
+        dens[..., 2, 2] = C0 * wp**2 + stress
+        dens[..., 1, 1] = C0 / 12.0
+        dens[..., 3:, 3:] = (cw * m.W1.C + cr * m.R1.C) / 12.0
+        dens *= q.by_element(self.wq)[..., None, None]
+        return self._hessian_plan().assemble(dens)
 
     # -- local slope ----------------------------------------------------------
 
-    def metric_tensor(self, u: np.ndarray) -> sp.csr_matrix:
+    def metric_tensor(self, u: np.ndarray) -> sp.csc_matrix:
         """Hessian of v -> D^2(u, v)/2 at v = u; SPD on the free DOFs."""
         return self.hess_halfsqdist(u, u)
 
@@ -419,8 +351,8 @@ class RibbonSystem:
         its orthogonality/representation diagnostics are returned.
         """
         g = self.grad_energy(u)[self.free]
-        K = self.metric_tensor(u)[self.free][:, self.free]
-        hstar = spla.spsolve(K.tocsc(), g)
+        K = self._free_hessian(u, u, 0.0, 1.0)
+        hstar = spla.spsolve(K, g)
         slope_sq = float(np.dot(g, hstar))
         value = float(np.sqrt(max(slope_sq, 0.0)))
         if not detailed:

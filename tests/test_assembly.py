@@ -1,0 +1,206 @@
+"""Element-local, fixed-pattern Hessian assembly of the plate and ribbon systems."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from numpy.polynomial import Polynomial
+
+from vkribbon.fem import (
+    BFSSpace,
+    BoundaryData,
+    Hermite3Space,
+    Mesh1D,
+    Mesh2D,
+    P1Space,
+    Q1Space,
+    Quadrature1D,
+    Quadrature2D,
+)
+from vkribbon.forms import MaterialPair
+from vkribbon.plate import PlateSystem, RecoveryInputs, build_recovery
+from vkribbon.ribbon import RibbonForces, RibbonSystem
+
+BUMP = Polynomial.fromroots([-0.5, -0.5, 0.5, 0.5])
+BC = BoundaryData.from_coeffs(u1=(0.0, 0.3), u2=(0.05, 0.1), v=(0.1, 0.2))
+FORCES = RibbonForces.from_coeffs(f=(0.2, 0.5), g1=(0.1,), g2=(0.3,))
+TAU = 0.05
+
+
+def plate_system(eps):
+    mat = MaterialPair.isotropic(1.0, 1.0, 1.0, 1.0, h2_family=True)
+    return PlateSystem(Mesh2D(l=1.0, nx=12, ny=4), eps, mat, BC, FORCES)
+
+
+def ribbon_system():
+    mat = MaterialPair.isotropic(1.2, 0.5, 0.8, 0.3)
+    return RibbonSystem(Mesh1D(l=1.0, n=12), mat, BC, FORCES)
+
+
+SYSTEMS = {
+    "plate eps=0.3": lambda: plate_system(0.3),
+    "plate eps=0.05": lambda: plate_system(0.05),
+    "ribbon": ribbon_system,
+}
+
+
+def random_state(system, rng, amp=0.2):
+    u = system.zero_state()
+    u[system.free] += amp * rng.standard_normal(int(system.free.sum()))
+    return u
+
+
+def incremental_gradient(system, anchor, v):
+    g = system.grad_energy(v) + system.grad_halfsqdist(anchor, v) / TAU
+    return g[system.free]
+
+
+@pytest.mark.parametrize("name", list(SYSTEMS))
+class TestIncrementalHessian:
+    def test_action_matches_fd_of_gradient(self, name):
+        s = SYSTEMS[name]()
+        rng = np.random.default_rng(61)
+        anchor, u = random_state(s, rng), random_state(s, rng)
+        d = np.zeros(s.n_dofs)
+        d[s.free] = rng.standard_normal(int(s.free.sum()))
+        h = 1e-6
+        fd = (
+            incremental_gradient(s, anchor, u + h * d) - incremental_gradient(s, anchor, u - h * d)
+        ) / (2 * h)
+        hv = s.incremental_hessian(anchor, u, TAU) @ d[s.free]
+        assert np.linalg.norm(hv - fd) <= 2e-6 * np.linalg.norm(hv)
+
+    def test_symmetric(self, name):
+        s = SYSTEMS[name]()
+        rng = np.random.default_rng(62)
+        H = s.incremental_hessian(random_state(s, rng), random_state(s, rng), TAU)
+        assert abs(H - H.T).max() <= 1e-13 * abs(H).max()
+
+    def test_fused_equals_sum_of_parts(self, name):
+        s = SYSTEMS[name]()
+        rng = np.random.default_rng(63)
+        anchor, u = random_state(s, rng), random_state(s, rng)
+        parts = (s.hess_energy(u) + s.hess_halfsqdist(anchor, u) / TAU).tocsr()
+        parts_ff = parts[s.free][:, s.free]
+        fused = s.incremental_hessian(anchor, u, TAU)
+        assert abs(fused - parts_ff).max() <= 1e-13 * abs(parts_ff).max()
+        # the full-size wrappers vanish on constrained rows and columns
+        assert parts[s.bc_mask].nnz == 0 and parts[:, s.bc_mask].nnz == 0
+
+    def test_csc_for_superlu(self, name):
+        s = SYSTEMS[name]()
+        H = s.incremental_hessian(s.zero_state(), s.zero_state(), TAU)
+        assert H.format == "csc" and H.has_canonical_format
+        assert H.shape == (int(s.free.sum()),) * 2
+
+
+def connectivity(system, element_dofs, fields, coupled):
+    """Free-free pairs of DOFs that share an element and whose fields couple."""
+    index = np.cumsum(system.free) - 1
+    pairs = set()
+    for dofs in element_dofs:
+        for a, ga in enumerate(dofs):
+            for b, gb in enumerate(dofs):
+                if system.free[ga] and system.free[gb] and (fields[a], fields[b]) in coupled:
+                    pairs.add((index[ga], index[gb]))
+    return pairs
+
+
+def stored_pairs(H):
+    coo = H.tocoo()
+    return set(zip(coo.row, coo.col))
+
+
+def test_plate_pattern_is_element_connectivity():
+    s = plate_system(0.3)
+    m = s.mesh
+    off = s.offsets
+    elements = [
+        np.concatenate(
+            [
+                s.q1.element_dofs(ex, ey) + off[0],
+                s.q1.element_dofs(ex, ey) + off[1],
+                s.bfs.element_dofs(ex, ey) + off[2],
+            ]
+        )
+        for ex in range(m.nx)
+        for ey in range(m.ny)
+    ]
+    fields = ["y"] * 8 + ["w"] * 16
+    coupled = {("y", "y"), ("y", "w"), ("w", "y"), ("w", "w")}
+    expect = connectivity(s, elements, fields, coupled)
+    H = s.incremental_hessian(s.zero_state(), s.zero_state(), TAU)
+    assert stored_pairs(H) == expect
+
+
+def test_ribbon_pattern_is_coupled_element_connectivity():
+    s = ribbon_system()
+    off = s.offsets
+    elements = [
+        np.concatenate(
+            [
+                s.p1.element_dofs(e) + off[0],
+                s.h3.element_dofs(e) + off[1],
+                s.h3.element_dofs(e) + off[2],
+                s.p1.element_dofs(e) + off[3],
+            ]
+        )
+        for e in range(s.mesh.n)
+    ]
+    fields = ["xi1"] * 2 + ["xi2"] * 4 + ["w"] * 4 + ["theta"] * 2
+    coupled = {("xi1", "xi1"), ("xi1", "w"), ("xi2", "xi2"), ("w", "w"), ("w", "theta")}
+    coupled |= {(b, a) for a, b in coupled} | {("theta", "theta")}
+    expect = connectivity(s, elements, fields, coupled)
+    H = s.incremental_hessian(s.zero_state(), s.zero_state(), TAU)
+    assert stored_pairs(H) == expect
+
+
+def test_no_plan_without_a_hessian():
+    mat = MaterialPair.isotropic(1.0, 0.0, 1.0, 0.0)
+    r = RibbonSystem(Mesh1D(l=1.0, n=12), mat, forces=FORCES)
+    v = r.interpolate((0.0,), (0.0,), 2.0 * BUMP, 4.0 * BUMP)
+    r.energy(v), r.sqdist(v, v), r.grad_energy(v), r.grad_halfsqdist(v, v)
+    p = PlateSystem(Mesh2D(l=1.0, nx=12, ny=4), 0.1, mat, forces=FORCES)
+    u = build_recovery(p, RecoveryInputs(r.state(v)))
+    p.energy(u), p.sqdist(u, u), p.grad_energy(u), p.grad_halfsqdist(u, u)
+    assert r._plan is None and p._plan is None
+    r.incremental_hessian(v, v, TAU)
+    p.incremental_hessian(u, u, TAU)
+    assert r._plan is not None and p._plan is not None
+
+
+def coo_sample_matrix(vals, cols, n_dofs):
+    """The reference construction: COO triplets converted to CSR."""
+    n = cols.shape[0]
+    rows = np.repeat(np.arange(n), cols.shape[1])
+    return sp.coo_matrix((vals.ravel(), (rows, cols.ravel())), shape=(n, n_dofs)).tocsr()
+
+
+def assert_bitwise(a, b):
+    assert a.shape == b.shape
+    for attr in ("data", "indices", "indptr"):
+        x, y = getattr(a, attr), getattr(b, attr)
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("n", [2, 7, 64])
+def test_sample_matrices_1d_match_coo_reference(n):
+    mesh = Mesh1D(l=1.0, n=n)
+    q = Quadrature1D(mesh)
+    for space in (P1Space(mesh), Hermite3Space(mesh)):
+        for d in range(space.max_deriv + 1):
+            ref = coo_sample_matrix(
+                space.ref_basis(q.ref, d), space.element_dofs(q.element), space.n_dofs
+            )
+            assert_bitwise(space.sample_matrix(q, d), ref)
+
+
+@pytest.mark.parametrize("nx, ny", [(2, 2), (5, 3), (16, 4)])
+def test_sample_matrices_2d_match_coo_reference(nx, ny):
+    mesh = Mesh2D(l=1.0, nx=nx, ny=ny)
+    q = Quadrature2D(mesh)
+    for space in (Q1Space(mesh), BFSSpace(mesh)):
+        cols = space.element_dofs(q.element_x, q.element_y)
+        for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            vals = space.ref_basis(q.ref_x, q.ref_y, dx, dy)
+            ref = coo_sample_matrix(vals, cols, space.n_dofs)
+            assert_bitwise(space.sample_matrix(q, dx, dy), ref)

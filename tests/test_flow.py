@@ -37,11 +37,8 @@ class OneDof:
     def grad_halfsqdist(self, a, u):
         return np.array([u[0] - a[0]])
 
-    def hess_energy(self, u):
-        return sp.eye(1)
-
-    def hess_halfsqdist(self, a, u):
-        return sp.eye(1)
+    def incremental_hessian(self, a, u, tau):
+        return sp.csc_matrix([[1.0 + 1.0 / tau]])
 
 
 def hermite_beam_stiffness(n, l):
