@@ -9,21 +9,24 @@
     BFS  Bogner-Fox-Schmit bicubic, C^1 conforming, for the deflection;
          DOFs per node: value, d1, d2, d12
 
-All meshes are uniform.  Evaluation at quadrature points is exposed as
-sparse sampling matrices (rows = quadrature points, columns = DOFs) so
-that energies and gradients reduce to vectorized array work.
-
-Hessians are assembled element by element: on a uniform mesh the basis
-derivatives at an element's quadrature points are the same reference
-table for every element, so all element matrices come out of one batched
-product of that table with the per-point densities.  An ElementAssembly
-plan, built once per system, scatters them with a single bincount into
-the fixed CSC pattern of the free DOFs.
+All meshes are uniform, so the basis derivatives at an element's
+quadrature points form one reference table shared by every element.
+ElementTables pairs that table with the element-DOF list: ``evaluate``
+gathers the element coefficients and yields every row value at every
+point in one matrix product, and ``scatter``, its transpose, turns
+per-point row coefficients into a DOF vector with one more product and a
+bincount.  Energies, gradients and Hessians are all built on these two
+operations; an ElementAssembly plan, made on the first Hessian, scatters
+the element matrices of one batched product into the fixed CSC pattern
+of the free DOFs.  Sparse sampling matrices (rows = quadrature points,
+columns = DOFs) remain for loads, projections and diagnostics; the
+systems build them on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -208,6 +211,13 @@ class Quadrature2D:
         p, m = self.rule.order, self.mesh
         v = v.reshape((m.nx, p, m.ny, p) + v.shape[1:]).swapaxes(1, 2)
         return v.reshape((m.nx * m.ny, p * p) + v.shape[4:])
+
+    def by_point(self, values) -> np.ndarray:
+        """The inverse of by_element: element-local values back in point order."""
+        v = np.asarray(values)
+        p, m = self.rule.order, self.mesh
+        v = v.reshape((m.nx, m.ny, p, p) + v.shape[2:]).swapaxes(1, 2)
+        return v.reshape((self.n_points,) + v.shape[4:])
 
 
 # ---------------------------------------------------------------------------
@@ -657,26 +667,48 @@ def scaled_operators_2d(mesh: Mesh2D, eps: float, fields: dict, points) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# element-local assembly
+# element-local evaluation and assembly
+
+
+class ElementTables:
+    """Element-local view of the packed DOFs on a uniform mesh.
+
+    ``dofs`` (E, k) lists the global DOFs of each element; ``rows`` (nq, r, k)
+    holds r reference rows (scaled basis derivatives) at the nq quadrature
+    points of an element, the same for every element, ``weights`` (nq,) its
+    quadrature weights, and ``coupling`` (r, r) marks the row pairs a
+    Hessian density may couple.
+    """
+
+    def __init__(self, dofs, rows, weights, coupling, n_dofs: int):
+        self.dofs, self.rows, self.weights, self.coupling = dofs, rows, weights, coupling
+        self.n_dofs = n_dofs
+        self.flat = rows.reshape(-1, rows.shape[-1])
+        self.flat_t = self.flat.T.copy()
+
+    def evaluate(self, u: np.ndarray) -> np.ndarray:
+        """Every row value at every point, (E, nq, r), from one gather and one product."""
+        return (u[self.dofs] @ self.flat_t).reshape(self.dofs.shape[:1] + self.rows.shape[:2])
+
+    def scatter(self, coeffs: np.ndarray) -> np.ndarray:
+        """The transpose of evaluate: the DOF vector of sum_e sum_q coeffs[e, q] . rows_q."""
+        local = coeffs.reshape(len(self.dofs), -1) @ self.flat
+        return np.bincount(self.dofs.ravel(), weights=local.ravel(), minlength=self.n_dofs)
 
 
 class ElementAssembly:
     """Fixed-pattern assembly of element matrices into the free-DOF block.
 
-    ``dofs`` (E, k) lists the global DOFs of each element, ``free`` masks
-    the unconstrained DOFs, and ``rows`` (nq, r, k) holds r reference rows
-    (scaled basis derivatives) at the nq quadrature points of an element,
-    the same table for every element of a uniform mesh.  ``coupling``
-    (r, r) marks the row pairs a density may couple.  The CSC pattern is
-    the free-free element connectivity restricted to DOF pairs that coupled
-    rows reach; each assembly is one batched product and one bincount into
-    a fresh ``data`` array over it.
+    The CSC pattern is the free-free element connectivity of ``tables``
+    restricted to DOF pairs that coupled rows reach; each assembly is one
+    batched product and one bincount into a fresh ``data`` array over it.
     """
 
-    def __init__(self, dofs: np.ndarray, free: np.ndarray, rows: np.ndarray, coupling):
+    def __init__(self, tables: ElementTables, free: np.ndarray):
+        dofs, rows = tables.dofs, tables.rows
         nf = int(free.sum())
         support = (rows != 0).astype(float)
-        local = np.einsum("qra,rs,qsb->ab", support, np.asarray(coupling, float), support) > 0
+        local = np.einsum("qra,rs,qsb->ab", support, tables.coupling.astype(float), support) > 0
         index = np.full(free.size, -1)
         index[free] = np.arange(nf)
         loc = index[dofs]
@@ -687,7 +719,7 @@ class ElementAssembly:
         self.slot = np.full(keep.size, key.size)
         self.slot[keep.ravel()] = slot
         self.free, self.n_free, self.nnz = free, nf, key.size
-        self.rows, self.rows_t = rows, rows.reshape(-1, dofs.shape[1]).T.copy()
+        self.tables = tables
         self.indices = (key % nf).astype(np.int32)
         self.indptr = np.searchsorted(key // nf, np.arange(nf + 1)).astype(np.int32)
 
@@ -695,12 +727,13 @@ class ElementAssembly:
         """Free-DOF matrix of sum_e sum_q rows_q^T dens[e, q] rows_q.
 
         ``dens`` (E, nq, r, r) carries the quadrature weights."""
-        m, k = self.rows_t.shape[1], self.rows.shape[-1]
+        rows, rows_t = self.tables.rows, self.tables.flat_t
+        k, m = rows_t.shape
         K = np.empty((len(dens), k, k))
         # element chunks keep the (chunk, nq, r, k) intermediate near 2 MB
-        step = max(1, 2**18 // self.rows.size)
+        step = max(1, 2**18 // rows.size)
         for lo in range(0, len(dens), step):
-            K[lo : lo + step] = self.rows_t @ (dens[lo : lo + step] @ self.rows).reshape(-1, m, k)
+            K[lo : lo + step] = rows_t @ (dens[lo : lo + step] @ rows).reshape(-1, m, k)
         data = np.bincount(self.slot, weights=K.ravel(), minlength=self.nnz + 1)
         return sp.csc_matrix(
             (data[: self.nnz], self.indices, self.indptr), shape=(self.n_free, self.n_free)
@@ -717,15 +750,17 @@ class ElementAssembly:
 
 class FieldSystem:
     """What the ribbon and plate systems share: packed named fields with
-    Dirichlet constraints, dead loads, the metric, the weak residual and
-    the Hessians built from one element-local assembly.
+    Dirichlet constraints, dead loads, the metric, the weak residual, and
+    every energy, distance, gradient and Hessian, built on ElementTables.
 
-    Subclasses provide energy, sqdist, grad_energy, grad_halfsqdist,
-    ``_element_tables`` (dofs, rows, coupling) for the assembly plan and
-    ``_free_hessian(anchor, u, cw, cr)``: the free-DOF Hessian at u of
-    cw * (elastic part of phi) + cr * D^2(anchor, .)/2.  Both parts are
-    linear in the form constants and the membrane stress, so the fused
-    incremental Hessian costs one assembly.
+    The strain channels s (E, nq, ns) are quadratic in the element rows;
+    phi(u) = 1/2 int s . QW s minus the work of the loads and
+    D^2(a, b) = int (s_a - s_b) . QR (s_a - s_b).  Subclasses provide QW,
+    QR, ``_element_tables()`` and the hooks ``_channels(u)`` -> ch = (s, the
+    rest that ds/drows needs), ``_row_stress(ch, sig)`` -> ds/drows^T sig and
+    ``_hessian_density(ch, sig, C)`` -> ds/drows^T C ds/drows plus the
+    geometric term of sig.  Coefficients (cw, cr) select cw * phi +
+    cr * D^2(anchor, .)/2: stress cw QW s + cr QR (s - s_anchor), C = cw QW + cr QR.
     """
 
     def _set_layout(self, sizes: dict, mask: np.ndarray, values: np.ndarray) -> None:
@@ -736,11 +771,6 @@ class FieldSystem:
         }
         self.bc_mask, self.bc_values, self.free = mask, values, ~mask
         self._plan = None  # Hessian assembly plan, built on first use
-
-    def _set_loads(self, loads) -> None:
-        """Dead loads as (field, value sampling matrix, density at the points)."""
-        active = any(np.any(dens != 0.0) for _, _, dens in loads)
-        self._loads = loads if active else []
 
     def split(self, u: np.ndarray):
         return tuple(u[sl] for sl in self.slices.values())
@@ -756,14 +786,76 @@ class FieldSystem:
     def metric(self, ua: np.ndarray, ub: np.ndarray) -> float:
         return float(np.sqrt(max(self.sqdist(ua, ub), 0.0)))
 
-    def _force_value(self, u: np.ndarray) -> float:
-        return float(sum(np.dot(self.wq * f, B @ u[self.slices[n]]) for n, B, f in self._loads))
+    @cached_property
+    def _force(self) -> np.ndarray:
+        """Load vector of ``_loads`` (field, name of its value sampling matrix,
+        density); its dot product with u is the work of the dead loads."""
+        f = np.zeros(self.n_dofs)
+        for name, B, dens in self._loads:
+            if np.any(dens):
+                f[self.slices[name]] = getattr(self, B).T @ (self.wq * dens)
+        return f
 
-    def _force_grad(self) -> np.ndarray:
-        g = np.zeros(self.n_dofs)
-        for name, B, f in self._loads:
-            g[self.slices[name]] = B.T @ (self.wq * f)
+    @cached_property
+    def _tables(self) -> ElementTables:
+        return self._element_tables()
+
+    def _form(self, s: np.ndarray, Q: np.ndarray) -> float:
+        """1/2 int s . Q s over channels s (E, nq, n)."""
+        return 0.5 * float(np.vdot(s @ Q, s * self._tables.weights[:, None]))
+
+    def _stress(self, ch, ch_a, cw: float, cr: float) -> np.ndarray:
+        s = ch[0]
+        return cw * (s @ self.QW) + cr * ((s - ch_a[0]) @ self.QR)
+
+    def _gradient(self, ch, ch_a, cw: float, cr: float) -> np.ndarray:
+        """DOF gradient at channels ch; zero on the constrained DOFs."""
+        t = self._tables
+        g = t.scatter(self._row_stress(ch, self._stress(ch, ch_a, cw, cr)) * t.weights[:, None])
+        g -= cw * self._force
+        g[self.bc_mask] = 0.0
         return g
+
+    def _hessian(self, ch, ch_a, cw: float, cr: float) -> sp.csc_matrix:
+        """Free-DOF Hessian at channels ch."""
+        C = cw * self.QW + cr * self.QR
+        dens = self._hessian_density(ch, self._stress(ch, ch_a, cw, cr), C)
+        dens *= self._tables.weights[:, None, None]
+        if self._plan is None:
+            self._plan = ElementAssembly(self._tables, self.free)
+        return self._plan.assemble(dens)
+
+    def energy(self, u: np.ndarray) -> float:
+        return self._form(self._channels(u)[0], self.QW) - float(np.dot(self._force, u))
+
+    def sqdist(self, ua: np.ndarray, ub: np.ndarray) -> float:
+        return 2.0 * self._form(self._channels(ua)[0] - self._channels(ub)[0], self.QR)
+
+    def grad_energy(self, u: np.ndarray) -> np.ndarray:
+        ch = self._channels(u)
+        return self._gradient(ch, ch, 1.0, 0.0)
+
+    def grad_halfsqdist(self, anchor: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return self._gradient(self._channels(u), self._channels(anchor), 0.0, 1.0)
+
+    def incremental(self, anchor: np.ndarray, tau: float) -> "IncrementalProblem":
+        """The functional v -> phi(v) + D^2(anchor, v) / (2 tau) of one time step."""
+        return IncrementalProblem(self, anchor, tau)
+
+    def incremental_hessian(self, anchor: np.ndarray, u: np.ndarray, tau: float) -> sp.csc_matrix:
+        """Free-DOF Hessian of v -> phi(v) + D^2(anchor, v) / (2 tau) at u."""
+        return self.incremental(anchor, tau).hessian(u)
+
+    def hess_energy(self, u: np.ndarray) -> sp.csc_matrix:
+        """Full-size Hessian of phi at u; constrained rows and columns are zero."""
+        ch = self._channels(u)
+        K = self._hessian(ch, ch, 1.0, 0.0)
+        return self._plan.embed(K)
+
+    def hess_halfsqdist(self, anchor: np.ndarray, u: np.ndarray) -> sp.csc_matrix:
+        """Full-size Hessian of D^2(anchor, .)/2 at u; constrained rows and columns are zero."""
+        K = self._hessian(self._channels(u), self._channels(anchor), 0.0, 1.0)
+        return self._plan.embed(K)
 
     def weak_residual_vector(self, prev: np.ndarray, nxt: np.ndarray, tau: float) -> np.ndarray:
         """Pairings of the weak equations (one block per field) against every
@@ -777,23 +869,45 @@ class FieldSystem:
     def weak_residual(self, prev, nxt, tau: float) -> float:
         return float(np.linalg.norm(self.weak_residual_vector(prev, nxt, tau)))
 
-    def _hessian_plan(self) -> ElementAssembly:
-        if self._plan is None:
-            dofs, rows, coupling = self._element_tables()
-            self._plan = ElementAssembly(dofs, self.free, rows, coupling)
-        return self._plan
 
-    def incremental_hessian(self, anchor: np.ndarray, u: np.ndarray, tau: float) -> sp.csc_matrix:
-        """Free-DOF Hessian of v -> phi(v) + D^2(anchor, v) / (2 tau) at u."""
-        return self._free_hessian(anchor, u, 1.0, 1.0 / tau)
+class IncrementalProblem:
+    """v -> Phi(v) = phi(v) + D^2(anchor, v) / (2 tau) of one time step.
 
-    def hess_energy(self, u: np.ndarray) -> sp.csc_matrix:
-        """Full-size Hessian of phi at u; constrained rows and columns are zero."""
-        return self._hessian_plan().embed(self._free_hessian(u, u, 1.0, 0.0))
+    Keeps the anchor's channels and those of the last point, keyed on a
+    copy of its values, so value, gradient and Hessian at one point share
+    one evaluation.  Holds the system; the system never holds it.
+    """
 
-    def hess_halfsqdist(self, anchor: np.ndarray, u: np.ndarray) -> sp.csc_matrix:
-        """Full-size Hessian of D^2(anchor, .)/2 at u; constrained rows and columns are zero."""
-        return self._hessian_plan().embed(self._free_hessian(anchor, u, 0.0, 1.0))
+    def __init__(self, system: FieldSystem, anchor: np.ndarray, tau: float):
+        if tau <= 0.0:
+            raise ValueError("tau must be positive")
+        self.system, self.cr = system, 1.0 / tau
+        self._key = np.array(anchor, dtype=float)
+        self._anchor = self._ch = system._channels(self._key)
+
+    def _at(self, v: np.ndarray):
+        if not np.array_equal(v, self._key):
+            self._key = np.array(v, dtype=float)
+            self._ch = self.system._channels(self._key)
+        return self._ch
+
+    def parts(self, v: np.ndarray) -> tuple[float, float]:
+        """(phi(v), D^2(anchor, v))."""
+        system, strain = self.system, self._at(v)[0]
+        phi = system._form(strain, system.QW) - float(np.dot(system._force, v))
+        return phi, 2.0 * system._form(strain - self._anchor[0], system.QR)
+
+    def value(self, v: np.ndarray) -> float:
+        phi, d2 = self.parts(v)
+        return phi + 0.5 * self.cr * d2
+
+    def grad(self, v: np.ndarray) -> np.ndarray:
+        """Full-size gradient of Phi at v; zero on the constrained DOFs."""
+        return self.system._gradient(self._at(v), self._anchor, 1.0, self.cr)
+
+    def hessian(self, v: np.ndarray) -> sp.csc_matrix:
+        """Free-DOF Hessian of Phi at v (CSC, ready for SuperLU)."""
+        return self.system._hessian(self._at(v), self._anchor, 1.0, self.cr)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,13 @@ gradient descent when the Newton direction fails to descend (the membrane
 Hessian can be indefinite far from minimizers).  The accepted point obeys
 the one-step energy inequality  phi(u_{n+1}) + D^2/(2 tau) <= phi(u_n).
 
-Any object exposing the small GradientSystem surface below can be
-advanced; the ribbon and plate systems both do.
+The anchor u_n is fixed for the whole step, so the stepper asks the
+system once for the incremental problem v -> Phi(tau, u_n; v) and works
+on that object alone: it keeps the anchor's strain channels and those of
+the last trial point, and each trial point is evaluated once for its
+value, gradient and Hessian.  Any object exposing the small
+GradientSystem surface below can be advanced; the ribbon and plate
+systems both do.
 """
 
 from __future__ import annotations
@@ -25,14 +30,17 @@ import scipy.sparse.linalg as spla
 
 
 class GradientSystem(Protocol):
-    """Minimal interface consumed by the stepper.
+    """Minimal interface consumed by the stepper and the trajectory driver.
 
     DOF vectors are flat; ``free`` masks the unconstrained entries
-    (Dirichlet DOFs stay untouched).  sqdist must be symmetric,
-    nonnegative, and zero exactly on the diagonal; the gradients must be
-    consistent with finite differences of the values.  The incremental
-    Hessian is the CSC matrix of phi + D^2(anchor, .)/(2 tau) on the free
-    DOFs.
+    (Dirichlet DOFs stay untouched).  ``energy`` is phi, read once per
+    trajectory.  ``incremental(anchor, tau)`` is the functional
+    Phi(v) = phi(v) + D^2(anchor, v) / (2 tau) of one step, with methods
+    ``parts(v)`` -> (phi(v), D^2(anchor, v)), ``value(v)`` -> Phi(v),
+    ``grad(v)``, the full-size DOF gradient with zero constrained entries,
+    and ``hessian(v)``, the CSC matrix on the free DOFs.  D^2 must be
+    symmetric, nonnegative and zero exactly on the diagonal; the gradients
+    must be consistent with finite differences of the values.
     """
 
     n_dofs: int
@@ -40,13 +48,7 @@ class GradientSystem(Protocol):
 
     def energy(self, u: np.ndarray) -> float: ...
 
-    def sqdist(self, ua: np.ndarray, ub: np.ndarray) -> float: ...
-
-    def grad_energy(self, u: np.ndarray) -> np.ndarray: ...
-
-    def grad_halfsqdist(self, anchor: np.ndarray, u: np.ndarray) -> np.ndarray: ...
-
-    def incremental_hessian(self, anchor: np.ndarray, u: np.ndarray, tau: float): ...
+    def incremental(self, anchor: np.ndarray, tau: float): ...
 
 
 class StepFailure(RuntimeError):
@@ -154,21 +156,16 @@ def incremental_step(
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     opts = options or SolverOptions()
+    problem = system.incremental(u_prev, tau)
     free = system.free
 
-    def phi(v):
-        return system.energy(v) + system.sqdist(u_prev, v) / (2.0 * tau)
-
-    def grad(v):
-        return system.grad_energy(v) + system.grad_halfsqdist(u_prev, v) / tau
-
     u = np.array(u_prev, dtype=float, copy=True)
-    phi_prev = system.energy(u_prev)
+    phi_prev = problem.parts(u)[0]
     scale = 1.0 + abs(phi_prev)
     phi_u = phi_prev
     used_fallback = False
 
-    g = grad(u)
+    g = problem.grad(u)
     iters = 0
     polish = False
     polish_left = 4
@@ -182,7 +179,7 @@ def incremental_step(
                 f"Newton did not converge in {opts.max_newton} iterations "
                 f"(|grad| = {gnorm:.3e}, tol = {opts.tol * scale:.3e})",
             )
-        Hff = system.incremental_hessian(u_prev, u, tau)
+        Hff = problem.hessian(u)
         d_free = _solve_spd(Hff, -g[free])
         slope0 = None
         if d_free is not None:
@@ -205,12 +202,12 @@ def incremental_step(
             polish = True
             polish_left -= 1
             cand = u + step
-            g_cand = grad(cand)
+            g_cand = problem.grad(cand)
             if float(np.linalg.norm(g_cand[free])) >= 0.9 * gnorm:
                 break
             u = cand
             g = g_cand
-            phi_u = phi(u)
+            phi_u = problem.value(u)
             iters += 1
             continue
 
@@ -218,7 +215,7 @@ def incremental_step(
         accepted = False
         for _ in range(opts.max_backtrack):
             cand = u + alpha * step
-            phi_cand = phi(cand)
+            phi_cand = problem.value(cand)
             if phi_cand <= phi_u + opts.armijo * alpha * slope0:
                 u = cand
                 phi_u = phi_cand
@@ -229,7 +226,7 @@ def incremental_step(
             # switch to the polishing phase instead of failing outright
             polish = True
             continue
-        g = grad(u)
+        g = problem.grad(u)
         iters += 1
 
     gnorm = float(np.linalg.norm(g[free]))
@@ -239,16 +236,16 @@ def incremental_step(
             f"stalled at |grad| = {gnorm:.3e} (> 10x tolerance {opts.tol * scale:.3e})",
         )
     # variational comparison with the warm start: the one-step inequality
-    phi_u = phi(u)
+    phi_u = problem.value(u)
     if phi_u > phi_prev + 1e-9:
         raise StepFailure(
             step_index,
             f"one-step energy inequality violated: {phi_u:.15e} > {phi_prev:.15e}",
         )
-    dist = float(np.sqrt(max(system.sqdist(u_prev, u), 0.0)))
+    energy, d2 = problem.parts(u)
     report = StepReport(
-        energy=float(system.energy(u)),
-        dist=dist,
+        energy=float(energy),
+        dist=float(np.sqrt(max(d2, 0.0))),
         newton_iters=iters,
         grad_norm=float(np.linalg.norm(g[free])),
         converged=True,

@@ -16,13 +16,14 @@ viscous form, or its eps-indexed family when the material carries one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fem import (
     BFSSpace,
     BoundaryData,
+    ElementTables,
     FieldSystem,
     GaussRule,
     Hermite3Space,
@@ -82,6 +83,17 @@ class PlateSystem(FieldSystem):
     of the two weak plate equations.
     """
 
+    # sampling matrices of basis derivatives at the quadrature points, built on first use
+    By0 = cached_property(lambda s: s.q1.sample_matrix(s.quad, 0, 0))
+    By10 = cached_property(lambda s: s.q1.sample_matrix(s.quad, 1, 0))
+    By01 = cached_property(lambda s: s.q1.sample_matrix(s.quad, 0, 1))
+    Bw0 = cached_property(lambda s: s.bfs.sample_matrix(s.quad, 0, 0))
+    Bw10 = cached_property(lambda s: s.bfs.sample_matrix(s.quad, 1, 0))
+    Bw01 = cached_property(lambda s: s.bfs.sample_matrix(s.quad, 0, 1))
+    Bw20 = cached_property(lambda s: s.bfs.sample_matrix(s.quad, 2, 0))
+    Bw11 = cached_property(lambda s: s.bfs.sample_matrix(s.quad, 1, 1))
+    Bw02 = cached_property(lambda s: s.bfs.sample_matrix(s.quad, 0, 2))
+
     def __init__(
         self,
         mesh: Mesh2D,
@@ -107,25 +119,17 @@ class PlateSystem(FieldSystem):
         self._set_layout(sizes, *dirichlet_2d(mesh, self.bc))
 
         q = self.quad
-        self.By0 = self.q1.sample_matrix(q, 0, 0)
-        self.By10 = self.q1.sample_matrix(q, 1, 0)
-        self.By01 = self.q1.sample_matrix(q, 0, 1)
-        self.Bw0 = self.bfs.sample_matrix(q, 0, 0)
-        self.Bw10 = self.bfs.sample_matrix(q, 1, 0)
-        self.Bw01 = self.bfs.sample_matrix(q, 0, 1)
-        self.Bw20 = self.bfs.sample_matrix(q, 2, 0)
-        self.Bw11 = self.bfs.sample_matrix(q, 1, 1)
-        self.Bw02 = self.bfs.sample_matrix(q, 0, 2)
-
         self.wq = q.weights
         self.CW = material.W.C
         self.CR = material.viscous_matrix(self.eps)
         self.f_q = self.forces_1d.f(q.x)
         self.g1_q = self.forces_1d.g1(q.x)
         self.g2_q = self.forces_1d.g2(q.x)
-        self._set_loads(
-            [("w", self.Bw0, self.f_q), ("y1", self.By0, self.g1_q), ("y2", self.By0, self.g2_q)]
-        )
+        self._loads = [("w", "Bw0", self.f_q), ("y1", "By0", self.g1_q), ("y2", "By0", self.g2_q)]
+        # the strain channels (mu, h) carry the forms C and C / 12
+        self.QW, self.QR = np.zeros((6, 6)), np.zeros((6, 6))
+        for Q, C in ((self.QW, self.CW), (self.QR, self.CR)):
+            Q[:3, :3], Q[3:, 3:] = C, BEND_FACTOR * C
 
     # -- state handling -----------------------------------------------------
 
@@ -147,98 +151,59 @@ class PlateSystem(FieldSystem):
 
     # -- channels -------------------------------------------------------------
 
+    def _channels(self, u: np.ndarray):
+        """Element-local strain s = (mu, h) (E, nq, 6) and scaled deflection
+        gradient g (E, nq, 2); the rows are (E11, E12, E22, g1, g2, h11, h12, h22)."""
+        R = self._tables.evaluate(u)
+        g = R[..., 3:5]
+        s = R[..., [0, 1, 2, 5, 6, 7]]
+        s[..., :3] += 0.5 * g[..., [0, 0, 1]] * g[..., [0, 1, 1]]
+        return s, g
+
     def channels(self, u: np.ndarray):
         """Membrane strain mu (nq, 3), scaled deflection gradient g (nq, 2),
-        scaled Hessian h (nq, 3)."""
-        eps = self.eps
-        y1, y2, w = self.split(u)
-        g1 = self.Bw10 @ w
-        g2 = (self.Bw01 @ w) / eps
-        E11 = self.By10 @ y1
-        E12 = ((self.By01 @ y1) + (self.By10 @ y2)) / (2.0 * eps)
-        E22 = (self.By01 @ y2) / eps**2
-        mu = np.stack([E11 + 0.5 * g1**2, E12 + 0.5 * g1 * g2, E22 + 0.5 * g2**2], axis=-1)
-        h = np.stack(
-            [self.Bw20 @ w, (self.Bw11 @ w) / eps, (self.Bw02 @ w) / eps**2], axis=-1
-        )
-        g = np.stack([g1, g2], axis=-1)
-        return mu, g, h
-
-    # -- energy / metric --------------------------------------------------------
+        scaled Hessian h (nq, 3), in quadrature-point order."""
+        s, g = self._channels(u)
+        q = self.quad
+        return q.by_point(s[..., :3]), q.by_point(g), q.by_point(s[..., 3:])
 
     def energy_parts(self, u: np.ndarray) -> dict:
-        mu, _, h = self.channels(u)
-        wq = self.wq
-        mem = 0.5 * np.dot(wq, np.einsum("qi,ij,qj->q", mu, self.CW, mu))
-        bend = np.dot(wq, np.einsum("qi,ij,qj->q", h, self.CW, h)) / 24.0
+        s, _ = self._channels(u)
         return {
-            "membrane": float(mem),
-            "bending": float(bend),
-            "force": self._force_value(u),
+            "membrane": self._form(s[..., :3], self.QW[:3, :3]),
+            "bending": self._form(s[..., 3:], self.QW[3:, 3:]),
+            "force": float(np.dot(self._force, u)),
         }
 
-    def energy(self, u: np.ndarray) -> float:
-        p = self.energy_parts(u)
-        return p["membrane"] + p["bending"] - p["force"]
+    def _row_stress(self, ch, sig):
+        g1, g2 = ch[1][..., 0], ch[1][..., 1]
+        s0, s1, s2 = sig[..., 0], sig[..., 1], sig[..., 2]
+        dg = np.stack([s0 * g1 + 0.5 * s1 * g2, 0.5 * s1 * g1 + s2 * g2], axis=-1)
+        return np.concatenate([sig[..., :3], dg, sig[..., 3:]], axis=-1)
 
-    def sqdist(self, ua: np.ndarray, ub: np.ndarray) -> float:
-        mu_a, _, h_a = self.channels(ua)
-        mu_b, _, h_b = self.channels(ub)
-        dmu = mu_a - mu_b
-        dh = h_a - h_b
-        wq = self.wq
-        mem = np.dot(wq, np.einsum("qi,ij,qj->q", dmu, self.CR, dmu))
-        bend = BEND_FACTOR * np.dot(wq, np.einsum("qi,ij,qj->q", dh, self.CR, dh))
-        return float(mem + bend)
-
-    # -- gradients ---------------------------------------------------------------
-
-    def _vk_grad(self, C, mu_eff, h_eff, g) -> np.ndarray:
-        """Gradient of 0.5 int Q(mu) + (1/24) int Q(h) in the DOFs.
-
-        With mu_eff/h_eff set to channel differences this is also the
-        gradient of half the squared distance.
-        """
-        eps = self.eps
-        wq = self.wq
-        sig = mu_eff @ C.T
-        sigb = h_eff @ C.T
-        g1, g2 = g[:, 0], g[:, 1]
-        out = np.empty(self.n_dofs)
-        out[self.slices["y1"]] = self.By10.T @ (wq * sig[:, 0]) + self.By01.T @ (
-            wq * sig[:, 1] / (2.0 * eps)
+    def _hessian_density(self, ch, sig, C):
+        g1, g2 = ch[1][..., 0], ch[1][..., 1]
+        # dmu/dg of mu = E + (g1^2, g1 g2, g2^2) / 2, and C dmu/dg in one product
+        z = np.zeros_like(g1)
+        dm = np.stack([np.stack([g1, 0.5 * g2, z], -1), np.stack([z, 0.5 * g1, g2], -1)], -2)
+        v = (dm.reshape(-1, 3) @ C[:3, :3]).reshape(dm.shape)
+        g1_, g2_ = g1[..., None], g2[..., None]
+        gg = np.stack(
+            [g1_ * v[..., 0] + 0.5 * g2_ * v[..., 1], 0.5 * g1_ * v[..., 1] + g2_ * v[..., 2]],
+            axis=-2,
         )
-        out[self.slices["y2"]] = self.By10.T @ (wq * sig[:, 1] / (2.0 * eps)) + self.By01.T @ (
-            wq * sig[:, 2] / eps**2
-        )
-        out[self.slices["w"]] = (
-            self.Bw10.T @ (wq * (sig[:, 0] * g1 + 0.5 * sig[:, 1] * g2))
-            + self.Bw01.T @ (wq * (0.5 * sig[:, 1] * g1 + sig[:, 2] * g2) / eps)
-            + BEND_FACTOR
-            * (
-                self.Bw20.T @ (wq * sigb[:, 0])
-                + self.Bw11.T @ (wq * sigb[:, 1] / eps)
-                + self.Bw02.T @ (wq * sigb[:, 2] / eps**2)
-            )
-        )
-        return out
+        # geometric stiffness from the quadratic membrane map
+        gg += sig[..., [0, 1, 1, 2]].reshape(gg.shape) * [[1.0, 0.5], [0.5, 1.0]]
+        # the constant blocks: membrane-membrane and bending-bending rows
+        dens = np.zeros((8, 8))
+        dens[:3, :3], dens[5:, 5:] = C[:3, :3], C[3:, 3:]
+        dens = np.broadcast_to(dens, g1.shape + (8, 8)).copy()
+        dens[..., 3:5, :3] = v
+        dens[..., :3, 3:5] = np.swapaxes(v, -1, -2)
+        dens[..., 3:5, 3:5] = gg
+        return dens
 
-    def grad_energy(self, u: np.ndarray) -> np.ndarray:
-        mu, g, h = self.channels(u)
-        out = self._vk_grad(self.CW, mu, h, g) - self._force_grad()
-        out[self.bc_mask] = 0.0
-        return out
-
-    def grad_halfsqdist(self, anchor: np.ndarray, u: np.ndarray) -> np.ndarray:
-        mu_a, _, h_a = self.channels(anchor)
-        mu, g, h = self.channels(u)
-        out = self._vk_grad(self.CR, mu - mu_a, h - h_a, g)
-        out[self.bc_mask] = 0.0
-        return out
-
-    # -- Hessians -------------------------------------------------------------
-
-    def _element_tables(self):
+    def _element_tables(self) -> ElementTables:
         """Element DOFs (y1 | y2 | w) and reference rows: the linear strain
         (E11, E12, E22), the scaled deflection gradient (g1, g2) and the
         scaled Hessian (h11, h12, h22); membrane and bending rows never meet."""
@@ -258,32 +223,7 @@ class PlateSystem(FieldSystem):
             rows[:, 3 + i, 8:] = self.bfs.ref_basis(sx, sy, dx, dy) / eps**dy
         coupling = np.ones((8, 8), dtype=bool)
         coupling[:3, 5:] = coupling[5:, :3] = False
-        return dofs, rows, coupling
-
-    def _free_hessian(self, anchor, u, cw: float, cr: float) -> sp.csc_matrix:
-        q = self.quad
-        mu_a, _, _ = self.channels(anchor)
-        mu, g, _ = self.channels(u)
-        C = cw * self.CW + cr * self.CR
-        sig = q.by_element(cw * mu @ self.CW.T + cr * (mu - mu_a) @ self.CR.T)
-        g1, g2 = q.by_element(g).transpose(2, 0, 1)
-        # Jacobian of mu in the (E, g) rows
-        J = np.zeros(g1.shape + (3, 5))
-        J[..., [0, 1, 2], [0, 1, 2]] = 1.0
-        J[..., 0, 3] = g1
-        J[..., 1, 3] = 0.5 * g2
-        J[..., 1, 4] = 0.5 * g1
-        J[..., 2, 4] = g2
-        dens = np.zeros(g1.shape + (8, 8))
-        dens[..., :5, :5] = np.swapaxes(J, -1, -2) @ C @ J
-        # geometric stiffness from the quadratic membrane map
-        dens[..., 3, 3] += sig[..., 0]
-        dens[..., 3, 4] += 0.5 * sig[..., 1]
-        dens[..., 4, 3] += 0.5 * sig[..., 1]
-        dens[..., 4, 4] += sig[..., 2]
-        dens[..., 5:, 5:] = BEND_FACTOR * C
-        dens *= q.by_element(self.wq)[..., None, None]
-        return self._hessian_plan().assemble(dens)
+        return ElementTables(dofs, rows, q.by_element(self.wq)[0], coupling, self.n_dofs)
 
     # -- projection onto ribbon variables -----------------------------------------
 

@@ -19,6 +19,7 @@ as a separate sample array (the xi2'' channel).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,6 +28,7 @@ from numpy.polynomial import Polynomial
 
 from .fem import (
     BoundaryData,
+    ElementTables,
     FieldSystem,
     GaussRule,
     Hermite3Space,
@@ -122,6 +124,16 @@ class RibbonSystem(FieldSystem):
     four blocks of the weak residual are the four weak equations.
     """
 
+    # sampling matrices of basis derivatives at the quadrature points, built on first use
+    B_xi1_0 = cached_property(lambda s: s.p1.sample_matrix(s.quad, 0))
+    B_xi1_1 = cached_property(lambda s: s.p1.sample_matrix(s.quad, 1))
+    B_xi2_0 = cached_property(lambda s: s.h3.sample_matrix(s.quad, 0))
+    B_xi2_2 = cached_property(lambda s: s.h3.sample_matrix(s.quad, 2))
+    B_w_1 = cached_property(lambda s: s.h3.sample_matrix(s.quad, 1))
+    B_w_0 = property(lambda s: s.B_xi2_0)
+    B_w_2 = property(lambda s: s.B_xi2_2)
+    B_th_1 = property(lambda s: s.B_xi1_1)
+
     def __init__(
         self,
         mesh: Mesh1D,
@@ -143,26 +155,20 @@ class RibbonSystem(FieldSystem):
         self._set_layout(sizes, *dirichlet_1d(mesh, self.bc))
 
         q = self.quad
-        self.B_xi1_0 = self.p1.sample_matrix(q, 0)
-        self.B_xi1_1 = self.p1.sample_matrix(q, 1)
-        self.B_xi2_0 = self.h3.sample_matrix(q, 0)
-        self.B_xi2_2 = self.h3.sample_matrix(q, 2)
-        self.B_w_0 = self.B_xi2_0
-        self.B_w_1 = self.h3.sample_matrix(q, 1)
-        self.B_w_2 = self.B_xi2_2
-        self.B_th_1 = self.B_xi1_1
-
         self.wq = q.weights
         self.f_q = self.forces.f(q.points)
         self.g1_q = self.forces.g1(q.points)
         self.g2_q = self.forces.g2(q.points)
-        self._set_loads(
-            [
-                ("w", self.B_w_0, self.f_q),
-                ("xi1", self.B_xi1_0, self.g1_q),
-                ("xi2", self.B_xi2_0, self.g2_q),
-            ]
-        )
+        self._loads = [
+            ("w", "B_w_0", self.f_q),
+            ("xi1", "B_xi1_0", self.g1_q),
+            ("xi2", "B_xi2_0", self.g2_q),
+        ]
+        # the strain channels (a, m, kappa, t) carry C0, C0 / 12 and Q1 / 12
+        self.QW, self.QR = np.zeros((4, 4)), np.zeros((4, 4))
+        m = material
+        for Q, Q0, Q1 in ((self.QW, m.W0, m.W1), (self.QR, m.R0, m.R1)):
+            Q[0, 0], Q[1, 1], Q[2:, 2:] = Q0.C0, BEND_FACTOR * Q0.C0, BEND_FACTOR * Q1.C
 
     # -- state handling ----------------------------------------------------
 
@@ -190,15 +196,17 @@ class RibbonSystem(FieldSystem):
 
     # -- strain channels ----------------------------------------------------
 
+    def _channels(self, u: np.ndarray):
+        """Element-local strain s = (a, m, kappa, t) (E, nq, 4) and w' (E, nq);
+        the rows are (xi1', xi2'', w', w'', theta')."""
+        R = self._tables.evaluate(u)
+        wprime = R[..., 2]
+        s = R[..., [0, 1, 3, 4]]
+        s[..., 0] += 0.5 * wprime**2
+        return s, wprime
+
     def channels(self, u: np.ndarray) -> ChannelSamples:
-        xi1, xi2, w, theta = self.split(u)
-        wprime = self.B_w_1 @ w
-        return ChannelSamples(
-            a=self.B_xi1_1 @ xi1 + 0.5 * wprime**2,
-            m=self.B_xi2_2 @ xi2,
-            kappa=self.B_w_2 @ w,
-            t=self.B_th_1 @ theta,
-        )
+        return ChannelSamples(*self._channels(u)[0].reshape(-1, 4).T)
 
     def h_channels(self, du: np.ndarray, w_anchor_prime: np.ndarray) -> ChannelSamples:
         """Linearized channels H(du | w): membrane slot xi1' + w' * dw'."""
@@ -212,45 +220,15 @@ class RibbonSystem(FieldSystem):
 
     # -- energy / metric ----------------------------------------------------
 
-    def _quad_value(self, C0: float, Q1: np.ndarray, ch: ChannelSamples) -> float:
-        """0.5 * int Q0(a channel) + (1/24) * int [Q0(m) + Q1(kappa, t)]."""
-        wq = self.wq
-        mem = 0.5 * C0 * np.dot(wq, ch.a**2)
-        bend = (
-            C0 * np.dot(wq, ch.m**2)
-            + Q1[0, 0] * np.dot(wq, ch.kappa**2)
-            + 2.0 * Q1[0, 1] * np.dot(wq, ch.kappa * ch.t)
-            + Q1[1, 1] * np.dot(wq, ch.t**2)
-        )
-        return float(mem + bend / 24.0)
-
-    def energy(self, u: np.ndarray) -> float:
-        m = self.material
-        return self._quad_value(m.W0.C0, m.W1.C, self.channels(u)) - self._force_value(u)
-
     def energy_parts(self, u: np.ndarray) -> dict:
-        m = self.material
-        ch = self.channels(u)
-        wq = self.wq
-        stretch = 0.5 * m.W0.C0 * np.dot(wq, ch.a**2)
-        bend_xi2 = m.W0.C0 * np.dot(wq, ch.m**2) / 24.0
-        Q1 = m.W1.C
-        bend_tw = (
-            Q1[0, 0] * np.dot(wq, ch.kappa**2)
-            + 2.0 * Q1[0, 1] * np.dot(wq, ch.kappa * ch.t)
-            + Q1[1, 1] * np.dot(wq, ch.t**2)
-        ) / 24.0
+        s, _ = self._channels(u)
+        Q = self.QW
         return {
-            "stretching": float(stretch),
-            "bending_xi2": float(bend_xi2),
-            "bending_twist": float(bend_tw),
-            "force": self._force_value(u),
+            "stretching": self._form(s[..., :1], Q[:1, :1]),
+            "bending_xi2": self._form(s[..., 1:2], Q[1:2, 1:2]),
+            "bending_twist": self._form(s[..., 2:], Q[2:, 2:]),
+            "force": float(np.dot(self._force, u)),
         }
-
-    def sqdist(self, ua: np.ndarray, ub: np.ndarray) -> float:
-        m = self.material
-        d = self.channels(ua).minus(self.channels(ub))
-        return 2.0 * self._quad_value(m.R0.C0, m.R1.C, d)
 
     # -- extended-form evaluation (independent code path for tests) --------
 
@@ -270,71 +248,41 @@ class RibbonSystem(FieldSystem):
         dens = np.einsum("qi,ij,qj->q", v, M, v) + BEND_FACTOR * M[0, 0] * ch.m**2
         return float(np.dot(self.wq, dens))
 
-    # -- gradients and Hessians ---------------------------------------------
+    # -- channel-level hooks --------------------------------------------------
 
-    def _quad_grad(self, C0, Q1, ch: ChannelSamples, wprime) -> np.ndarray:
-        wq = self.wq
-        s_a = wq * (C0 * ch.a)
-        s_m = wq * (C0 * ch.m) / 12.0
-        s_k = wq * (Q1[0, 0] * ch.kappa + Q1[0, 1] * ch.t) / 12.0
-        s_t = wq * (Q1[1, 0] * ch.kappa + Q1[1, 1] * ch.t) / 12.0
-        g = np.empty(self.n_dofs)
-        g[self.slices["xi1"]] = self.B_xi1_1.T @ s_a
-        g[self.slices["xi2"]] = self.B_xi2_2.T @ s_m
-        g[self.slices["w"]] = self.B_w_1.T @ (s_a * wprime) + self.B_w_2.T @ s_k
-        g[self.slices["theta"]] = self.B_th_1.T @ s_t
-        return g
+    def _row_stress(self, ch, sig):
+        return np.stack(
+            [sig[..., 0], sig[..., 1], sig[..., 0] * ch[1], sig[..., 2], sig[..., 3]], axis=-1
+        )
 
-    def grad_energy(self, u: np.ndarray) -> np.ndarray:
-        m = self.material
-        wprime = self.B_w_1 @ u[self.slices["w"]]
-        g = self._quad_grad(m.W0.C0, m.W1.C, self.channels(u), wprime) - self._force_grad()
-        g[self.bc_mask] = 0.0
-        return g
+    def _hessian_density(self, ch, sig, C):
+        wp = ch[1]
+        dens = np.zeros(wp.shape + (5, 5))
+        dens[..., 0, 0] = C[0, 0]
+        dens[..., 0, 2] = dens[..., 2, 0] = C[0, 0] * wp
+        # the geometric term of the w-block carries the membrane stress
+        dens[..., 2, 2] = C[0, 0] * wp**2 + sig[..., 0]
+        dens[..., 1, 1] = C[1, 1]
+        dens[..., 3:, 3:] = C[2:, 2:]
+        return dens
 
-    def grad_halfsqdist(self, anchor: np.ndarray, u: np.ndarray) -> np.ndarray:
-        m = self.material
-        wprime = self.B_w_1 @ u[self.slices["w"]]
-        d = self.channels(u).minus(self.channels(anchor))
-        g = self._quad_grad(m.R0.C0, m.R1.C, d, wprime)
-        g[self.bc_mask] = 0.0
-        return g
-
-    def _element_tables(self):
+    def _element_tables(self) -> ElementTables:
         """Element DOFs (xi1 | xi2 | w | theta) and reference rows xi1',
         xi2'', w', w'', theta'; the extended form couples w' to xi1' and
         theta' to w''."""
         q = self.quad
-        e = q.by_element(q.element)[:, 0]
+        e = np.arange(self.mesh.n)
         p1_dofs, h3_dofs = self.p1.element_dofs(e), self.h3.element_dofs(e)
         off = self.offsets
         dofs = np.hstack([p1_dofs, h3_dofs + off[1], h3_dofs + off[2], p1_dofs + off[3]])
         s = q.rule.points
         rows = np.zeros((s.size, 5, dofs.shape[1]))
-        rows[:, 0, 0:2] = self.p1.ref_basis(s, 1)
-        rows[:, 1, 2:6] = self.h3.ref_basis(s, 2)
+        rows[:, 0, 0:2] = rows[:, 4, 10:12] = self.p1.ref_basis(s, 1)
+        rows[:, 1, 2:6] = rows[:, 3, 6:10] = self.h3.ref_basis(s, 2)
         rows[:, 2, 6:10] = self.h3.ref_basis(s, 1)
-        rows[:, 3, 6:10] = self.h3.ref_basis(s, 2)
-        rows[:, 4, 10:12] = self.p1.ref_basis(s, 1)
         coupling = np.eye(5, dtype=bool)
         coupling[0, 2] = coupling[2, 0] = coupling[3, 4] = coupling[4, 3] = True
-        return dofs, rows, coupling
-
-    def _free_hessian(self, anchor, u, cw: float, cr: float) -> sp.csc_matrix:
-        m, q = self.material, self.quad
-        a = self.channels(u).a
-        C0 = cw * m.W0.C0 + cr * m.R0.C0
-        stress = q.by_element(cw * m.W0.C0 * a + cr * m.R0.C0 * (a - self.channels(anchor).a))
-        wp = q.by_element(self.B_w_1 @ u[self.slices["w"]])
-        dens = np.zeros(wp.shape + (5, 5))
-        dens[..., 0, 0] = C0
-        dens[..., 0, 2] = dens[..., 2, 0] = C0 * wp
-        # the geometric term of the w-block carries the membrane stress
-        dens[..., 2, 2] = C0 * wp**2 + stress
-        dens[..., 1, 1] = C0 / 12.0
-        dens[..., 3:, 3:] = (cw * m.W1.C + cr * m.R1.C) / 12.0
-        dens *= q.by_element(self.wq)[..., None, None]
-        return self._hessian_plan().assemble(dens)
+        return ElementTables(dofs, rows, q.by_element(self.wq)[0], coupling, self.n_dofs)
 
     # -- local slope ----------------------------------------------------------
 
@@ -350,8 +298,9 @@ class RibbonSystem(FieldSystem):
         |dphi|(u)^2 = g . h*.  With ``detailed`` the operator field L and
         its orthogonality/representation diagnostics are returned.
         """
-        g = self.grad_energy(u)[self.free]
-        K = self._free_hessian(u, u, 0.0, 1.0)
+        ch = self._channels(u)
+        g = self._gradient(ch, ch, 1.0, 0.0)[self.free]
+        K = self._hessian(ch, ch, 0.0, 1.0)
         hstar = spla.spsolve(K, g)
         slope_sq = float(np.dot(g, hstar))
         value = float(np.sqrt(max(slope_sq, 0.0)))
@@ -361,9 +310,8 @@ class RibbonSystem(FieldSystem):
         full = np.zeros(self.n_dofs)
         full[self.free] = hstar
         m = self.material
-        wprime = self.B_w_1 @ u[self.slices["w"]]
-        H = self.h_channels(full, wprime)
-        G = self.channels(u)
+        H = self.h_channels(full, ch[1].ravel())
+        G = ChannelSamples(*ch[0].reshape(-1, 4).T)
         # L = Cbar_R H(u*) - Cbar_W G, split into transverse-average and
         # moment parts of the first channel
         CR, CW = m.Rbar.M, m.Wbar.M

@@ -1,5 +1,7 @@
 """Minimizing movements: closed-form steps, decay oracles, De Giorgi ledger."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -28,17 +30,16 @@ class OneDof:
     def energy(self, u):
         return 0.5 * float(u[0]) ** 2
 
-    def sqdist(self, a, b):
-        return float((a[0] - b[0]) ** 2)
+    def incremental(self, a, tau):
+        def parts(v):
+            return self.energy(v), float((v[0] - a[0]) ** 2)
 
-    def grad_energy(self, u):
-        return np.array([u[0]])
-
-    def grad_halfsqdist(self, a, u):
-        return np.array([u[0] - a[0]])
-
-    def incremental_hessian(self, a, u, tau):
-        return sp.csc_matrix([[1.0 + 1.0 / tau]])
+        return SimpleNamespace(
+            parts=parts,
+            value=lambda v: parts(v)[0] + parts(v)[1] / (2 * tau),
+            grad=lambda v: v + (v - a) / tau,
+            hessian=lambda v: sp.csc_matrix([[1.0 + 1.0 / tau]]),
+        )
 
 
 def hermite_beam_stiffness(n, l):
