@@ -119,9 +119,10 @@ class SlopeSolution:
 class RibbonSystem(FieldSystem):
     """Discrete gradient system (energy, metric, derivatives) on a fixed mesh.
 
-    Instances are read-only after construction and safe to share; all
-    methods operate on packed DOF vectors (xi1 | xi2 | w | theta).  The
-    four blocks of the weak residual are the four weak equations.
+    Instances are read-only after construction, apart from caches filled
+    on first use, and safe to share; all methods operate on packed DOF
+    vectors (xi1 | xi2 | w | theta).  The four blocks of the weak residual
+    are the four weak equations.
     """
 
     # sampling matrices of basis derivatives at the quadrature points, built on first use
