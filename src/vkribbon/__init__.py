@@ -18,11 +18,9 @@ from .fem import (
     Q1Space,
     Quadrature1D,
     Quadrature2D,
-    apply_dirichlet,
     assemble_quadratic,
     dirichlet_1d,
     dirichlet_2d,
-    eval_field_1d,
     scaled_operators_2d,
 )
 from .flow import (
@@ -51,7 +49,6 @@ from .forms import (
     reduce_to_1,
 )
 from .plate import (
-    PlateForces,
     PlateState,
     PlateSystem,
     RecoveryInputs,

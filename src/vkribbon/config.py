@@ -48,7 +48,6 @@ _SCHEMA = {
     "boundary": {"u1hat", "u2hat", "vhat"},
     "forces": {"f", "g1", "g2"},
     "initial": {"xi1", "xi2", "w", "theta"},
-    "study": {"seed", "samples"},
     "output": {"directory"},
 }
 
@@ -101,8 +100,6 @@ class Scenario:
     boundary: BoundaryData = field(default_factory=BoundaryData.zero)
     forces: RibbonForces = field(default_factory=RibbonForces.zero)
     initial: tuple = ((0.0,), (0.0,), (0.0,), (0.0,))
-    seed: int = 0
-    samples: int = 1000
     out_dir: str = "out"
     sha256: str = ""
     raw: dict = field(default_factory=dict)
@@ -230,12 +227,6 @@ def load_scenario(path) -> Scenario:
     sc.initial = tuple(
         _floats(get("initial", key, "0"), f"initial.{key}") for key in ("xi1", "xi2", "w", "theta")
     )
-    if get("study", "seed") is not None:
-        sc.seed = _int(get("study", "seed"), "study.seed")
-    if get("study", "samples") is not None:
-        sc.samples = _int(get("study", "samples"), "study.samples")
-        if sc.samples < 1:
-            raise ScenarioError("study.samples: must be >= 1")
     if get("output", "directory") is not None:
         sc.out_dir = get("output", "directory")
 

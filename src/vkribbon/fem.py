@@ -374,19 +374,6 @@ def _evaluate_1d(space, coeffs, x, deriv):
     return out
 
 
-def eval_field_1d(mesh: Mesh1D, kind: str, coeffs, deriv: int, points):
-    """Evaluate a 1D field (P1 or Hermite3) at arbitrary points."""
-    if kind == "P1":
-        space = P1Space(mesh)
-    elif kind == "Hermite3":
-        space = Hermite3Space(mesh)
-    else:
-        raise FemError(f"unknown 1D field kind {kind!r}")
-    if deriv < 0 or deriv > (1 if kind == "P1" else 2):
-        raise FemError(f"derivative order {deriv} out of range for {kind}")
-    return space.evaluate(coeffs, points, deriv)
-
-
 # ---------------------------------------------------------------------------
 # 2D spaces
 
@@ -617,13 +604,6 @@ def check_traces(u: np.ndarray, mask: np.ndarray, values: np.ndarray, tol: float
     gap = np.abs(u[mask] - values[mask])
     if gap.size and gap.max() > tol:
         raise ValueError(f"state violates boundary data by {gap.max():.3e}")
-
-
-def apply_dirichlet(vector: np.ndarray, mask: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Overwrite constrained DOFs with their boundary values (idempotent)."""
-    out = np.array(vector, dtype=float, copy=True)
-    out[mask] = values[mask]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -57,13 +57,15 @@ class StepFailure(RuntimeError):
         self.step_index = step_index
 
 
+# Armijo halvings per line search before the stepper switches to polishing
+MAX_BACKTRACK = 40
+
+
 @dataclass
 class SolverOptions:
     tol: float = 1e-10
     max_newton: int = 50
     armijo: float = 1e-4
-    max_backtrack: int = 40
-    descent_fallback: bool = True
 
     def __post_init__(self):
         if self.tol <= 0.0 or self.armijo <= 0.0:
@@ -185,8 +187,6 @@ def incremental_step(
         if d_free is not None:
             slope0 = float(np.dot(g[free], d_free))
         if d_free is None or slope0 >= 0.0:
-            if not opts.descent_fallback:
-                raise StepFailure(step_index, "Newton direction is not a descent direction")
             # Jacobi-scaled steepest descent keeps the trial step bounded
             d_free = -g[free] / np.maximum(np.abs(Hff.diagonal()), 1e-300)
             slope0 = float(np.dot(g[free], d_free))
@@ -213,7 +213,7 @@ def incremental_step(
 
         alpha = 1.0
         accepted = False
-        for _ in range(opts.max_backtrack):
+        for _ in range(MAX_BACKTRACK):
             cand = u + alpha * step
             phi_cand = problem.value(cand)
             if phi_cand <= phi_u + opts.armijo * alpha * slope0:
@@ -261,13 +261,12 @@ def run_trajectory(
     T: float,
     options: SolverOptions | None = None,
     slope_fn: Callable[[np.ndarray], float] | None = None,
-    check_residual: bool = True,
 ) -> Trajectory:
     """Advance the minimizing-movement scheme over N = ceil(T / tau) steps.
 
-    When the system exposes ``weak_residual_vector`` the norm of the weak
-    residual on the free DOFs is recorded; a slope evaluator fills the
-    ledger column used by the De Giorgi bookkeeping.
+    Each step's report carries the norm of the incremental gradient on the
+    free DOFs at the accepted point; a slope evaluator fills the ledger
+    column used by the De Giorgi bookkeeping.
     """
     if T <= 0.0:
         raise ValueError("horizon T must be positive")
@@ -289,9 +288,6 @@ def run_trajectory(
         u_next, rep = incremental_step(system, tau, u, opts, step_index=n)
         if rep.energy > prev_energy + 1e-9:
             raise StepFailure(n, "energy sequence not monotone")
-        if check_residual and hasattr(system, "weak_residual_vector"):
-            res = system.weak_residual_vector(u, u_next, tau)
-            rep.grad_norm = float(np.linalg.norm(res[system.free]))
         if slope_fn is not None:
             rep.slope = float(slope_fn(u_next))
         states.append(u_next.copy())

@@ -25,7 +25,6 @@ from .fem import (
     BoundaryData,
     ElementTables,
     FieldSystem,
-    GaussRule,
     Hermite3Space,
     Mesh2D,
     P1Space,
@@ -40,24 +39,6 @@ from .forms import MaterialPair
 from .ribbon import RibbonForces, RibbonState, RibbonSystem
 
 BEND_FACTOR = 1.0 / 12.0
-
-
-@dataclass(frozen=True)
-class PlateForces:
-    """Scaled force densities on S, built from the 1D targets.
-
-    f_hat = f1d, g_hat = (g1_1d, eps * g2_1d); with this construction the
-    scaled force limits hold exactly at every eps.
-    """
-
-    eps: float
-    ribbon: RibbonForces
-
-    def f_hat(self, x1):
-        return self.ribbon.f(x1)
-
-    def g_hat(self, x1):
-        return self.ribbon.g1(x1), self.eps * self.ribbon.g2(x1)
 
 
 @dataclass
@@ -101,7 +82,6 @@ class PlateSystem(FieldSystem):
         material: MaterialPair,
         bc: BoundaryData | None = None,
         forces: RibbonForces | None = None,
-        quad_order: int = 5,
     ):
         if eps <= 0.0:
             raise ValueError(f"plate width eps must be positive, got {eps}")
@@ -109,9 +89,8 @@ class PlateSystem(FieldSystem):
         self.eps = float(eps)
         self.material = material
         self.bc = bc or BoundaryData.zero()
-        self.forces_1d = forces or RibbonForces.zero()
-        self.forces = PlateForces(self.eps, self.forces_1d)
-        self.quad = Quadrature2D(mesh, GaussRule(quad_order))
+        forces = forces or RibbonForces.zero()
+        self.quad = Quadrature2D(mesh)
 
         self.q1 = Q1Space(mesh)
         self.bfs = BFSSpace(mesh)
@@ -122,9 +101,9 @@ class PlateSystem(FieldSystem):
         self.wq = q.weights
         self.CW = material.W.C
         self.CR = material.viscous_matrix(self.eps)
-        self.f_q = self.forces_1d.f(q.x)
-        self.g1_q = self.forces_1d.g1(q.x)
-        self.g2_q = self.forces_1d.g2(q.x)
+        self.f_q = forces.f(q.x)
+        self.g1_q = forces.g1(q.x)
+        self.g2_q = forces.g2(q.x)
         self._loads = [("w", "Bw0", self.f_q), ("y1", "By0", self.g1_q), ("y2", "By0", self.g2_q)]
         # the strain channels (mu, h) carry the forms C and C / 12
         self.QW, self.QR = np.zeros((6, 6)), np.zeros((6, 6))

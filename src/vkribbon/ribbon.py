@@ -30,7 +30,6 @@ from .fem import (
     BoundaryData,
     ElementTables,
     FieldSystem,
-    GaussRule,
     Hermite3Space,
     Mesh1D,
     P1Space,
@@ -141,13 +140,12 @@ class RibbonSystem(FieldSystem):
         material: MaterialPair,
         bc: BoundaryData | None = None,
         forces: RibbonForces | None = None,
-        quad_order: int = 5,
     ):
         self.mesh = mesh
         self.material = material
         self.bc = bc or BoundaryData.zero()
         self.forces = forces or RibbonForces.zero()
-        self.quad = Quadrature1D(mesh, GaussRule(quad_order))
+        self.quad = Quadrature1D(mesh)
 
         self.p1 = P1Space(mesh)
         self.h3 = Hermite3Space(mesh)

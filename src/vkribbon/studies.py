@@ -94,20 +94,22 @@ def tau_study(
         trajectories[tau] = run_trajectory(
             system, u0, tau, T, options, slope_fn=system.local_slope
         )
+    residuals = {
+        tau: dissipation_ledger(system, traj, system.local_slope).residual
+        for tau, traj in trajectories.items()
+    }
     times = [f * T for f in SAMPLE_FRACTIONS]
     sups = {}
     for t1, t2 in zip(taus, taus[1:]):
         a, b = trajectories[t1], trajectories[t2]
         dists = [system.metric(a.at_time(t), b.at_time(t)) for t in times]
-        led = dissipation_ledger(system, a, system.local_slope)
         for t, d in zip(times, dists):
-            report.add(t1, t, d, a.reports[a.index_at(t)].energy, led.residual)
+            report.add(t1, t, d, a.reports[a.index_at(t)].energy, residuals[t1])
         sups[t1] = max(dists)
-    led_last = dissipation_ledger(system, trajectories[taus[-1]], system.local_slope)
+    t_last, last = taus[-1], trajectories[taus[-1]]
     for t in times:
-        traj = trajectories[taus[-1]]
-        report.add(taus[-1], t, float("nan"), traj.reports[traj.index_at(t)].energy, led_last.residual)
-    residuals = {tau: dissipation_ledger(system, trajectories[tau], system.local_slope).residual for tau in taus}
+        energy = last.reports[last.index_at(t)].energy
+        report.add(t_last, t, float("nan"), energy, residuals[t_last])
     report.summary = {
         "sup_dist": sups,
         "residuals": residuals,
@@ -269,6 +271,11 @@ def commutativity_report(
     times = [f * T for f in SAMPLE_FRACTIONS]
     for eps in eps_list:
         plate = plates[eps]
+        # the horizontal leg at the finest step depends on (eps, t) only
+        fine = traj2[(eps, tau_min)]
+        horiz_fine = {
+            t: plate.d0_projected(fine.at_time(t), ribbon, traj1[tau_min].at_time(t)) for t in times
+        }
         for tau in tau_list:
             for t in times:
                 s2 = traj2[(eps, tau)].at_time(t)
@@ -276,9 +283,6 @@ def commutativity_report(
                 leg1d = ribbon.metric(traj1[tau].at_time(t), traj1[tau_min].at_time(t))
                 leg2d = plate.metric(s2, traj2[(eps, tau_min)].at_time(t))
                 diag = plate.d0_projected(s2, ribbon, traj1[tau_min].at_time(t))
-                horiz_fine = plate.d0_projected(
-                    traj2[(eps, tau_min)].at_time(t), ribbon, traj1[tau_min].at_time(t)
-                )
                 report.add(
                     eps,
                     tau,
@@ -287,7 +291,7 @@ def commutativity_report(
                     leg1d,
                     leg2d,
                     diag,
-                    abs((horiz + leg1d) - (leg2d + horiz_fine)),
+                    abs((horiz + leg1d) - (leg2d + horiz_fine[t])),
                 )
     return report
 

@@ -1,10 +1,13 @@
 """Scenario parsing, persistence round-trips, CLI exit behavior."""
 
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from vkribbon import cli
 from vkribbon.cli import main
 from vkribbon.config import ScenarioError, load_scenario
 from vkribbon.fem import BoundaryData, Mesh1D, Mesh2D
@@ -16,6 +19,8 @@ from vkribbon.io import (
 )
 from vkribbon.plate import PlateSystem
 from vkribbon.ribbon import RibbonSystem
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MINIMAL = """
 [material]
@@ -122,7 +127,33 @@ class TestSnapshots:
 class TestCli:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate", "x.cfg"]) == 64
-        assert "usage" in capsys.readouterr().err.lower() or True
+        assert "unknown subcommand 'frobnicate'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args", [[], ["x.cfg", "--bogus"], ["x.cfg", "--seed", "3"]], ids=["none", "bogus", "seed"]
+    )
+    def test_usage_error_exits_64(self, capsys, args):
+        # argparse's own exit code 2 would read as a solver failure
+        assert main(["simulate-1d", *args]) == 64
+        assert "usage" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["simulate-1d", "-h"]) == 0
+        assert "--out" in capsys.readouterr().out
+
+    def test_study_section_rejected(self, tmp_path, capsys):
+        path = write(tmp_path, XI2_DECAY + "\n[study]\nseed = 0\n")
+        assert main(["simulate-1d", path, "--out", str(tmp_path / "o"), "--quiet"]) == 65
+        assert "[study]" in capsys.readouterr().err
+
+    def test_subcommand_lists_agree(self):
+        # each list runs from "Subcommands:" to the first full stop
+        def listed(text):
+            return set(re.findall(r"[\w-]+", text.split("Subcommands:", 1)[1].split(".", 1)[0]))
+
+        table = set(cli.COMMANDS) | {"report"}
+        assert listed(cli.USAGE) == table
+        assert listed((ROOT / "README.md").read_text()) == table
 
     def test_missing_scenario(self):
         assert main(["simulate-1d", "/nonexistent/path.cfg"]) == 65

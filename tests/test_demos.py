@@ -1,0 +1,36 @@
+"""The demo scripts run to completion against the package's public names.
+
+Demo 05 (the 2D dimension-reduction sweep) is left out for its run time;
+acceptance criterion 09 runs the same path.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = [
+    "01_material_reduction.py",
+    "02_ribbon_flow.py",
+    "03_slope_representation.py",
+    "04_gamma_limsup.py",
+    "06_commutativity.py",
+]
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_runs(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]

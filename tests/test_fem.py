@@ -14,11 +14,9 @@ from vkribbon.fem import (
     Q1Space,
     Quadrature1D,
     Quadrature2D,
-    apply_dirichlet,
     assemble_quadratic,
     dirichlet_1d,
     dirichlet_2d,
-    eval_field_1d,
     scaled_operators_2d,
 )
 
@@ -55,14 +53,6 @@ class TestFields1D:
         rng = np.random.default_rng(0)
         x = rng.uniform(-0.5, 0.5, 40)
         assert np.abs(space.evaluate(coeffs, x, 0) - 1.0).max() < 1e-14
-
-    def test_eval_field_dispatch(self, mesh):
-        vals = eval_field_1d(mesh, "P1", np.ones(5), 0, [0.1])
-        assert vals[0] == pytest.approx(1.0)
-        with pytest.raises(Exception):
-            eval_field_1d(mesh, "P1", np.ones(5), 2, [0.1])
-        with pytest.raises(Exception):
-            eval_field_1d(mesh, "nope", np.ones(5), 0, [0.1])
 
 
 class TestConformity:
@@ -223,15 +213,6 @@ class TestDirichlet:
         top_node = mesh2.node_index(2, mesh2.ny)
         assert not mask[top_node]
         assert not mask[q1.n_dofs + top_node]
-
-    def test_idempotent(self, mesh):
-        mask, values = dirichlet_1d(mesh, BoundaryData.from_coeffs(u1=(0.5,)))
-        rng = np.random.default_rng(4)
-        u = rng.standard_normal(mask.size)
-        once = apply_dirichlet(u, mask, values)
-        twice = apply_dirichlet(once, mask, values)
-        assert np.array_equal(once, twice)
-        assert np.array_equal(once[~mask], u[~mask])
 
 
 class TestAssembly:

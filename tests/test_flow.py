@@ -145,7 +145,7 @@ class TestTrajectory:
 
     def test_kkt_residual_checked(self):
         s, u0 = xi2_system(n=8)
-        traj = run_trajectory(s, u0, 0.05, 0.2, check_residual=True)
+        traj = run_trajectory(s, u0, 0.05, 0.2)
         assert all(np.isfinite(r.grad_norm) for r in traj.reports[1:])
 
 

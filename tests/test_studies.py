@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
+from vkribbon import studies
 from vkribbon.fem import BoundaryData, Mesh1D, Mesh2D
-from vkribbon.flow import run_trajectory
+from vkribbon.flow import dissipation_ledger, run_trajectory
 from vkribbon.forms import MaterialPair
 from vkribbon.ribbon import RibbonForces, RibbonSystem
 from vkribbon.studies import (
@@ -76,6 +77,20 @@ class TestTauStudy:
             tau_study(s, u0, [0.08, 0.05], 0.2)
         with pytest.raises(ValueError):
             tau_study(s, u0, [0.04, 0.08], 0.2)
+
+    def test_one_ledger_per_step_size(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return dissipation_ledger(*args)
+
+        monkeypatch.setattr(studies, "dissipation_ledger", counted)
+        s = RibbonSystem(Mesh1D(l=1.0, n=8), H1)
+        taus = [0.08, 0.04, 0.02]
+        rep = tau_study(s, s.interpolate(*xi2_initial()), taus, 0.16)
+        assert len(calls) == len(taus)
+        assert sorted(rep.summary["residuals"]) == sorted(taus)
 
     def test_residual_magnitude_decreases(self):
         mesh = Mesh1D(l=1.0, n=12)
