@@ -179,6 +179,10 @@ def main(argv=None) -> int:
         # argparse exits 2 on a usage error; 2 means solver failure here
         return 64 if exc.code else 0
 
+    # a run directory is reported from its manifest alone; the scenario
+    # only supplies the default output directory
+    if sub == "report" and args.out is not None:
+        return report(args.out)
     try:
         scenario = load_scenario(args.scenario)
     except FileNotFoundError:
@@ -197,7 +201,6 @@ def main(argv=None) -> int:
         write_manifest(
             os.path.join(out_dir, "manifest.txt"),
             scenario,
-            scenario.material,
             outputs,
             __version__,
             time.time(),

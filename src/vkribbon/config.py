@@ -149,11 +149,10 @@ def _build_material(sec: dict) -> MaterialPair:
 def load_scenario(path) -> Scenario:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keys are case-sensitive
+    with open(path, "rb") as f:
+        data = f.read()
     try:
-        with open(path) as f:
-            parser.read_file(f)
-    except FileNotFoundError:
-        raise
+        parser.read_string(data.decode("utf-8"), source=str(path))
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: parse error: {exc}") from exc
 
@@ -230,6 +229,5 @@ def load_scenario(path) -> Scenario:
     if get("output", "directory") is not None:
         sc.out_dir = get("output", "directory")
 
-    with open(path, "rb") as f:
-        sc.sha256 = hashlib.sha256(f.read()).hexdigest()
+    sc.sha256 = hashlib.sha256(data).hexdigest()
     return sc

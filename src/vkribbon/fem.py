@@ -18,9 +18,10 @@ per-point row coefficients into a DOF vector with one more product and a
 bincount.  Energies, gradients and Hessians are all built on these two
 operations; an ElementAssembly plan, made on the first Hessian, scatters
 the element matrices of one batched product into the fixed CSC pattern
-of the free DOFs.  Sparse sampling matrices (rows = quadrature points,
-columns = DOFs) remain for loads, projections and diagnostics; the
-systems build them on first use.
+of the free DOFs, and solves with such matrices by banded Cholesky in a
+reverse Cuthill-McKee order of that pattern.  Sparse sampling matrices
+(rows = quadrature points, columns = DOFs) remain for loads, projections
+and diagnostics; the systems build them on first use.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial import Polynomial
+from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 
 class FemError(ValueError):
@@ -677,11 +680,16 @@ class ElementTables:
 
 
 class ElementAssembly:
-    """Fixed-pattern assembly of element matrices into the free-DOF block.
+    """Fixed-pattern assembly of element matrices into the free-DOF block,
+    and banded Cholesky factorization on that pattern.
 
     The CSC pattern is the free-free element connectivity of ``tables``
     restricted to DOF pairs that coupled rows reach; each assembly is one
     batched product and one bincount into a fresh ``data`` array over it.
+    A reverse Cuthill-McKee order of the pattern makes it a band of
+    half-width ``bandwidth``; ``band_index`` maps each CSC entry in the
+    band's lower triangle (``band_entries``) to its flat slot in LAPACK
+    lower band storage, so filling the band is one indexed assignment.
     """
 
     def __init__(self, tables: ElementTables, free: np.ndarray):
@@ -703,6 +711,18 @@ class ElementAssembly:
         self.indices = (key % nf).astype(np.int32)
         self.indptr = np.searchsorted(key // nf, np.arange(nf + 1)).astype(np.int32)
 
+        pattern = sp.csc_matrix((np.ones(self.nnz), self.indices, self.indptr), shape=(nf, nf))
+        self.perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+        rank = np.empty(nf, dtype=np.int64)
+        rank[self.perm] = np.arange(nf)
+        row, col = rank[self.indices], rank[key // nf]
+        lower = row >= col
+        self.band_entries = np.flatnonzero(lower)
+        self.band_row, self.band_col = row[lower], col[lower]
+        offset = self.band_row - self.band_col
+        self.bandwidth = int(offset.max(initial=0))
+        self.band_index = self.band_col * (self.bandwidth + 1) + offset
+
     def assemble(self, dens: np.ndarray) -> sp.csc_matrix:
         """Free-DOF matrix of sum_e sum_q rows_q^T dens[e, q] rows_q.
 
@@ -718,6 +738,34 @@ class ElementAssembly:
         return sp.csc_matrix(
             (data[: self.nnz], self.indices, self.indptr), shape=(self.n_free, self.n_free)
         )
+
+    def solve(self, H: sp.csc_matrix, b: np.ndarray):
+        """H^{-1} b for a free-DOF matrix H with this pattern, or None when
+        H is not positive definite.
+
+        Banded Cholesky (LAPACK ``pbtrf``) of H in the RCM order, Jacobi-
+        scaled to unit diagonal, then one pass of iterative refinement; a
+        nonpositive diagonal entry or a failed ``pbtrf`` is the
+        indefiniteness test."""
+        d = H.diagonal()[self.perm]
+        if not np.all(d > 0.0):
+            return None
+        s = 1.0 / np.sqrt(d)
+        # filled column by column; its transpose is the Fortran-ordered band
+        band = np.zeros((self.n_free, self.bandwidth + 1))
+        band.flat[self.band_index] = H.data[self.band_entries] * s[self.band_row] * s[self.band_col]
+        try:
+            chol = cholesky_banded(band.T, overwrite_ab=True, lower=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            return None
+
+        def band_solve(r: np.ndarray) -> np.ndarray:
+            x = np.empty(self.n_free)
+            x[self.perm] = s * cho_solve_banded((chol, True), s * r[self.perm], check_finite=False)
+            return x
+
+        x = band_solve(b)
+        return x + band_solve(b - H @ x)
 
     def embed(self, K: sp.csc_matrix) -> sp.csc_matrix:
         """Full-size copy of a free-DOF matrix; constrained rows and columns are zero."""
@@ -886,8 +934,13 @@ class IncrementalProblem:
         return self.system._gradient(self._at(v), self._anchor, 1.0, self.cr)
 
     def hessian(self, v: np.ndarray) -> sp.csc_matrix:
-        """Free-DOF Hessian of Phi at v (CSC, ready for SuperLU)."""
+        """Free-DOF Hessian of Phi at v, CSC on the plan's fixed pattern."""
         return self.system._hessian(self._at(v), self._anchor, 1.0, self.cr)
+
+    def solve(self, H: sp.csc_matrix, rhs: np.ndarray):
+        """H^{-1} rhs for a Hessian from ``hessian`` by banded Cholesky, or
+        None when H is not positive definite (ElementAssembly.solve)."""
+        return self.system._plan.solve(H, rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,13 @@ One step solves
     u_{n+1} = argmin_v  Phi(tau, u_n; v),
     Phi(tau, u; v) = D(v, u)^2 / (2 tau) + phi(v)
 
-by a Newton iteration with Armijo backtracking, falling back to scaled
-gradient descent when the Newton direction fails to descend (the membrane
-Hessian can be indefinite far from minimizers).  The accepted point obeys
-the one-step energy inequality  phi(u_{n+1}) + D^2/(2 tau) <= phi(u_n).
+by a Newton iteration with Armijo backtracking.  The incremental problem
+solves for the Newton direction by banded Cholesky on its fixed pattern;
+a Hessian that is not positive definite (the membrane part can be
+indefinite far from minimizers) goes to SuperLU instead, and when that
+direction fails to descend the step falls back to scaled gradient
+descent.  The accepted point obeys the one-step energy inequality
+phi(u_{n+1}) + D^2/(2 tau) <= phi(u_n).
 
 The anchor u_n is fixed for the whole step, so the stepper asks the
 system once for the incremental problem v -> Phi(tau, u_n; v) and works
@@ -38,7 +41,9 @@ class GradientSystem(Protocol):
     Phi(v) = phi(v) + D^2(anchor, v) / (2 tau) of one step, with methods
     ``parts(v)`` -> (phi(v), D^2(anchor, v)), ``value(v)`` -> Phi(v),
     ``grad(v)``, the full-size DOF gradient with zero constrained entries,
-    and ``hessian(v)``, the CSC matrix on the free DOFs.  D^2 must be
+    ``hessian(v)``, the CSC matrix on the free DOFs, and ``solve(H, rhs)``
+    -> H^{-1} rhs for such a matrix, or None when H is not positive
+    definite (the stepper then uses SuperLU).  D^2 must be
     symmetric, nonnegative and zero exactly on the diagonal; the gradients
     must be consistent with finite differences of the values.
     """
@@ -122,29 +127,38 @@ class Trajectory:
         return rows
 
 
-def _solve_spd(H: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
-    """Direct symmetric solve with Jacobi equilibration and one refinement pass.
+def _superlu_solve(H: sp.csc_matrix, rhs: np.ndarray):
+    """SuperLU solve with Jacobi equilibration and one refinement pass, or
+    None when H is exactly singular.
 
     The scaling multiplies the CSC data directly, so the matrix reaches
-    SuperLU without a conversion.  The refinement step recovers a few
-    digits lost to the conditioning of the stiffest (bending / small-eps)
-    blocks."""
-    d = H.diagonal()
-    scale = 1.0 / np.sqrt(np.maximum(np.abs(d), 1e-300))
+    SuperLU without a conversion."""
+    scale = 1.0 / np.sqrt(np.maximum(np.abs(H.diagonal()), 1e-300))
     data = H.data * scale[H.indices] * np.repeat(scale, np.diff(H.indptr))
     Hs = sp.csc_matrix((data, H.indices, H.indptr), shape=H.shape)
     b = rhs * scale
     try:
         lu = spla.splu(Hs)
-        x = lu.solve(b)
-        for _ in range(2):
-            r = b - Hs @ x
-            x = x + lu.solve(r)
     except RuntimeError:
         return None
-    if not np.all(np.isfinite(x)):
-        return None
+    x = lu.solve(b)
+    x = x + lu.solve(b - Hs @ x)
     return x * scale
+
+
+def _solve_spd(problem, H: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
+    """Newton direction H^{-1} rhs, or None when no direct solve gives one.
+
+    The problem's banded Cholesky solves when H is positive definite; only
+    a matrix it rejects reaches SuperLU.  Each path makes one refinement
+    pass, which recovers digits lost to the conditioning of the stiffest
+    (bending / small-eps) blocks."""
+    x = problem.solve(H, rhs)
+    if x is None:
+        x = _superlu_solve(H, rhs)
+    if x is None or not np.all(np.isfinite(x)):
+        return None
+    return x
 
 
 def incremental_step(
@@ -182,7 +196,7 @@ def incremental_step(
                 f"(|grad| = {gnorm:.3e}, tol = {opts.tol * scale:.3e})",
             )
         Hff = problem.hessian(u)
-        d_free = _solve_spd(Hff, -g[free])
+        d_free = _solve_spd(problem, Hff, -g[free])
         slope0 = None
         if d_free is not None:
             slope0 = float(np.dot(g[free], d_free))

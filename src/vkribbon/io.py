@@ -7,7 +7,6 @@ header rows.  Every writer goes through the temp-file + rename path.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import tempfile
 import time
@@ -149,16 +148,12 @@ def load_snapshot(path, bc=None):
 # manifest
 
 
-def config_hash(path) -> str:
-    with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
-
-
-def write_manifest(path, scenario, material, outputs, version: str, started: float) -> None:
+def write_manifest(path, scenario, outputs, version: str, started: float) -> None:
     """Flat key=value run manifest; written before any result file.
 
     Records the config echo, the hypothesis classification, the derived
     reduction constants, and the planned output files."""
+    material = scenario.material
     lines = [
         f"version = {version}",
         f"written_at = {time.strftime('%Y-%m-%dT%H:%M:%S', time.gmtime())}",

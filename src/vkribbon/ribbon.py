@@ -23,7 +23,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from numpy.polynomial import Polynomial
 
 from .fem import (
@@ -300,7 +299,7 @@ class RibbonSystem(FieldSystem):
         ch = self._channels(u)
         g = self._gradient(ch, ch, 1.0, 0.0)[self.free]
         K = self._hessian(ch, ch, 0.0, 1.0)
-        hstar = spla.spsolve(K, g)
+        hstar = self._plan.solve(K, g)
         slope_sq = float(np.dot(g, hstar))
         value = float(np.sqrt(max(slope_sq, 0.0)))
         if not detailed:

@@ -1,14 +1,19 @@
 """Element-local, fixed-pattern Hessian assembly of the plate and ribbon systems."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from numpy.polynomial import Polynomial
 
+from vkribbon import fem, flow
 from vkribbon.fem import (
     BFSSpace,
     BoundaryData,
     Hermite3Space,
+    IncrementalProblem,
     Mesh1D,
     Mesh2D,
     P1Space,
@@ -93,6 +98,72 @@ class TestIncrementalHessian:
         assert H.shape == (int(s.free.sum()),) * 2
 
 
+    def test_band_solve_matches_spsolve(self, name):
+        s = SYSTEMS[name]()
+        rng = np.random.default_rng(64)
+        anchor, u = random_state(s, rng), random_state(s, rng)
+        problem = s.incremental(anchor, TAU)
+        H = problem.hessian(u)
+        b = rng.standard_normal(H.shape[0])
+        ref = spla.spsolve(H, b)
+        x = problem.solve(H, b)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        # the RCM order makes the pattern a band narrower than the matrix
+        assert s._plan.bandwidth < H.shape[0] // 2
+
+
+def shifted_diagonal(H, sigma):
+    """H - sigma I on the same pattern."""
+    Hs = H.copy()
+    cols = np.repeat(np.arange(H.shape[1]), np.diff(H.indptr))
+    Hs.data[H.indices == cols] -= sigma
+    return Hs
+
+
+@pytest.mark.parametrize("name", ["plate eps=0.05", "ribbon"])
+def test_indefinite_hessian_takes_superlu_path(name, monkeypatch):
+    s = SYSTEMS[name]()
+    rng = np.random.default_rng(65)
+    u0 = random_state(s, rng, amp=0.05)
+    H = s.incremental_hessian(u0, u0, TAU)
+    # positive diagonal, negative eigenvalues: only pbtrf can reject it
+    sigma = 0.3 * H.diagonal().min()
+    assert np.linalg.eigvalsh(shifted_diagonal(H, sigma).toarray())[0] < 0.0
+    assert s._plan.solve(shifted_diagonal(H, sigma), np.ones(H.shape[0])) is None
+
+    lu_calls, directions = [], []
+    splu = flow.spla.splu
+    monkeypatch.setattr(
+        flow, "spla", SimpleNamespace(splu=lambda A: lu_calls.append(1) or splu(A))
+    )
+    solve_spd = flow._solve_spd
+
+    def recording_solve(problem, H, rhs):
+        d = solve_spd(problem, H, rhs)
+        directions.append((rhs, d))
+        return d
+
+    monkeypatch.setattr(flow, "_solve_spd", recording_solve)
+    hessian = IncrementalProblem.hessian
+    first = []
+
+    def shifted_once(self, v):
+        H = hessian(self, v)
+        if first:
+            return H
+        first.append(1)
+        return shifted_diagonal(H, sigma)
+
+    monkeypatch.setattr(IncrementalProblem, "hessian", shifted_once)
+    u1, rep = flow.incremental_step(s, TAU, u0)
+    assert lu_calls == [1]
+    rhs, d = directions[0]
+    # a descent direction for the gradient -rhs, or the scaled-gradient fallback
+    assert (d is not None and np.dot(-rhs, d) < 0.0) or rep.used_fallback
+    # the one-step energy inequality
+    assert s.energy(u1) + s.sqdist(u0, u1) / (2 * TAU) <= s.energy(u0) + 1e-12
+
+
 def connectivity(system, element_dofs, fields, coupled):
     """Free-free pairs of DOFs that share an element and whose fields couple."""
     index = np.cumsum(system.free) - 1
@@ -154,7 +225,12 @@ def test_ribbon_pattern_is_coupled_element_connectivity():
     assert stored_pairs(H) == expect
 
 
-def test_no_plan_without_a_hessian():
+def test_no_plan_without_a_hessian(monkeypatch):
+    orderings = []
+    rcm = fem.reverse_cuthill_mckee
+    monkeypatch.setattr(
+        fem, "reverse_cuthill_mckee", lambda *a, **k: orderings.append(1) or rcm(*a, **k)
+    )
     mat = MaterialPair.isotropic(1.0, 0.0, 1.0, 0.0)
     r = RibbonSystem(Mesh1D(l=1.0, n=12), mat, forces=FORCES)
     v = r.interpolate((0.0,), (0.0,), 2.0 * BUMP, 4.0 * BUMP)
@@ -162,10 +238,15 @@ def test_no_plan_without_a_hessian():
     p = PlateSystem(Mesh2D(l=1.0, nx=12, ny=4), 0.1, mat, forces=FORCES)
     u = build_recovery(p, RecoveryInputs(r.state(v)))
     p.energy(u), p.sqdist(u, u), p.grad_energy(u), p.grad_halfsqdist(u, u)
-    assert r._plan is None and p._plan is None
+    assert r._plan is None and p._plan is None and not orderings
     r.incremental_hessian(v, v, TAU)
     p.incremental_hessian(u, u, TAU)
     assert r._plan is not None and p._plan is not None
+    # one band layout per system, whatever is assembled or solved afterwards
+    flow.run_trajectory(r, v, TAU, 2 * TAU, slope_fn=r.local_slope)
+    flow.run_trajectory(p, u, TAU, 2 * TAU)
+    r.hess_energy(v), p.hess_halfsqdist(u, u)
+    assert len(orderings) == 2
 
 
 def coo_sample_matrix(vals, cols, n_dofs):

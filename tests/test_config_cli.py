@@ -1,5 +1,6 @@
 """Scenario parsing, persistence round-trips, CLI exit behavior."""
 
+import hashlib
 import os
 import re
 from pathlib import Path
@@ -57,13 +58,14 @@ def write(tmp_path, text, name="scenario.cfg"):
 
 class TestScenario:
     def test_minimal_fills_defaults(self, tmp_path):
-        sc = load_scenario(write(tmp_path, MINIMAL))
+        path = write(tmp_path, MINIMAL)
+        sc = load_scenario(path)
         assert sc.l == 1.0
         assert sc.n1d == 64 and sc.nx == 64 and sc.ny == 8
         assert sc.tau == 0.01 and sc.T == 1.0
         assert sc.solver.tol == 1e-10
         assert sc.material.hypothesis == "H1"
-        assert sc.sha256
+        assert sc.sha256 == hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
     def test_negative_modulus_names_key(self, tmp_path):
         bad = MINIMAL + "mu_W = -1.0\n"
@@ -241,3 +243,15 @@ class TestCli:
         assert main(["report", path, "--out", out]) == 0
         text = capsys.readouterr().out
         assert "ledger.csv" in text and "hypothesis" in text
+
+    def test_report_after_scenario_deleted(self, tmp_path, capsys):
+        path = write(tmp_path, XI2_DECAY)
+        out = str(tmp_path / "out")
+        assert main(["simulate-1d", path, "--out", out, "--quiet"]) == 0
+        os.remove(path)
+        capsys.readouterr()
+        assert main(["report", path, "--out", out]) == 0
+        text = capsys.readouterr().out
+        assert "ledger.csv: 6 rows" in text and "hypothesis = H1" in text
+        # without --out the scenario names the run directory, so it must exist
+        assert main(["report", path]) == 65

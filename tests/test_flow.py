@@ -39,6 +39,7 @@ class OneDof:
             value=lambda v: parts(v)[0] + parts(v)[1] / (2 * tau),
             grad=lambda v: v + (v - a) / tau,
             hessian=lambda v: sp.csc_matrix([[1.0 + 1.0 / tau]]),
+            solve=lambda H, b: b / H[0, 0],
         )
 
 
