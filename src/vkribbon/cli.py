@@ -219,6 +219,3 @@ def main(argv=None) -> int:
         print(f"{sub}: {summary}")
     return 0
 
-
-def entry() -> None:
-    raise SystemExit(main())

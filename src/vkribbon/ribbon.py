@@ -28,6 +28,7 @@ from numpy.polynomial import Polynomial
 from .fem import (
     BoundaryData,
     ElementTables,
+    FemError,
     FieldSystem,
     Hermite3Space,
     Mesh1D,
@@ -293,13 +294,17 @@ class RibbonSystem(FieldSystem):
 
         Solves  K h* = g  with K the metric tensor at u and g the energy
         gradient, both restricted to the zero-trace test space; then
-        |dphi|(u)^2 = g . h*.  With ``detailed`` the operator field L and
-        its orthogonality/representation diagnostics are returned.
+        |dphi|(u)^2 = g . h*.  Raises FemError when the band Cholesky
+        rejects K, as it does at a non-finite u.  With ``detailed`` the
+        operator field L and its orthogonality/representation diagnostics
+        are returned.
         """
         ch = self._channels(u)
         g = self._gradient(ch, ch, 1.0, 0.0)[self.free]
         K = self._hessian(ch, ch, 0.0, 1.0)
         hstar = self._plan.solve(K, g)
+        if hstar is None:
+            raise FemError("metric tensor not positive definite at u")
         slope_sq = float(np.dot(g, hstar))
         value = float(np.sqrt(max(slope_sq, 0.0)))
         if not detailed:

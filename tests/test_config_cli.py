@@ -3,6 +3,8 @@
 import hashlib
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -255,3 +257,40 @@ class TestCli:
         assert "ledger.csv: 6 rows" in text and "hypothesis = H1" in text
         # without --out the scenario names the run directory, so it must exist
         assert main(["report", path]) == 65
+
+
+# Runs in a fresh interpreter: imports the package, then starts the program
+# with threaded BLAS requested, and reports the thread count each OpenBLAS
+# library numpy and scipy ship reads at load (none where BLAS is not OpenBLAS).
+PROGRAM_THREADS = """
+import ctypes, glob, os, sys
+import vkribbon
+assert "numpy" not in sys.modules
+from vkribbon.__main__ import entry
+sys.argv = ["vkribbon", "--help"]
+try:
+    entry()
+except SystemExit:
+    pass
+import numpy, scipy.linalg
+print("env", os.environ["OPENBLAS_NUM_THREADS"], os.environ["OMP_NUM_THREADS"])
+site = os.path.dirname(os.path.dirname(numpy.__file__))
+for path in glob.glob(os.path.join(site, "*.libs", "*openblas*")):
+    lib = ctypes.CDLL(path)
+    for sym in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads"):
+        if hasattr(lib, sym):
+            print("openblas", getattr(lib, sym)())
+"""
+
+
+def test_program_runs_blas_on_one_thread():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="4", OMP_NUM_THREADS="4")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROGRAM_THREADS], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = proc.stdout.splitlines()
+    assert "env 1 1" in lines
+    assert all(ln == "openblas 1" for ln in lines if ln.startswith("openblas"))

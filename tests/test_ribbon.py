@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from vkribbon.fem import BoundaryData, Mesh1D
+from vkribbon.fem import BoundaryData, FemError, Mesh1D
 from vkribbon.forms import MaterialPair
 from vkribbon.ribbon import RibbonForces, RibbonSystem, mutual_shift
 
@@ -195,6 +195,10 @@ class TestGradients:
 class TestSlope:
     def test_zero_state_zero_slope(self, system):
         assert system.local_slope(system.zero_state()) == 0.0
+
+    def test_rejected_metric_tensor_raises(self, system):
+        with pytest.raises(FemError, match="not positive definite"):
+            system.local_slope(np.full(system.n_dofs, np.nan))
 
     def test_pure_xi2_dense_oracle(self, mesh):
         mat = MaterialPair.isotropic(1.0, 0.0, 2.0, 0.0)
