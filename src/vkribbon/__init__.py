@@ -27,7 +27,6 @@ _EXPORTS = {
         "Q1Space",
         "Quadrature1D",
         "Quadrature2D",
-        "assemble_quadratic",
         "dirichlet_1d",
         "dirichlet_2d",
         "scaled_operators_2d",

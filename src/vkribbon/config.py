@@ -189,7 +189,7 @@ def load_scenario(path) -> Scenario:
             v = _int(get("mesh", key), f"mesh.{key}")
             if v < 2:
                 raise ScenarioError(f"mesh.{key}: need at least 2 elements")
-            setattr(sc, key if key != "n1d" else "n1d", v)
+            setattr(sc, key, v)
     if get("time", "tau") is not None:
         sc.tau = _float(get("time", "tau"), "time.tau")
         if sc.tau <= 0:

@@ -15,13 +15,13 @@ ElementTables pairs that table with the element-DOF list: ``evaluate``
 gathers the element coefficients and yields every row value at every
 point in one matrix product, and ``scatter``, its transpose, turns
 per-point row coefficients into a DOF vector with one more product and a
-bincount.  Energies, gradients and Hessians are all built on these two
-operations; an ElementAssembly plan, made on the first Hessian, scatters
-the element matrices of one batched product into the fixed CSC pattern
-of the free DOFs, and solves with such matrices by banded Cholesky in a
-reverse Cuthill-McKee order of that pattern.  Sparse sampling matrices
-(rows = quadrature points, columns = DOFs) remain for loads, projections
-and diagnostics; the systems build them on first use.
+bincount.  Energies, gradients, Hessians and every diagnostic field value
+are read through these two operations; an ElementAssembly plan, made on
+the first Hessian, scatters the element matrices of one batched product
+into the fixed CSC pattern of the free DOFs, and solves with such
+matrices by banded Cholesky in a reverse Cuthill-McKee order of that
+pattern.  A space's sparse sampling matrix (rows = quadrature points,
+columns = DOFs) builds the load vector, once per system.
 """
 
 from __future__ import annotations
@@ -165,6 +165,11 @@ class Quadrature1D:
         v = np.asarray(values)
         return v.reshape((self.mesh.n, self.rule.order) + v.shape[1:])
 
+    def by_point(self, values) -> np.ndarray:
+        """The inverse of by_element: element-local values back in point order."""
+        v = np.asarray(values)
+        return v.reshape((self.n_points,) + v.shape[2:])
+
 
 class Quadrature2D:
     """Tensor Gauss rule on a 2D mesh.
@@ -286,7 +291,6 @@ def _hermite_ref(s: np.ndarray, deriv: int, h: float) -> np.ndarray:
 class P1Space:
     """W^{1,2}-conforming nodal space; one DOF per node."""
 
-    kind = "P1"
     max_deriv = 1
 
     def __init__(self, mesh: Mesh1D):
@@ -316,7 +320,6 @@ class P1Space:
 class Hermite3Space:
     """C^1 / W^{2,2}-conforming cubic Hermite space; DOFs (value, slope) per node."""
 
-    kind = "Hermite3"
     max_deriv = 3
 
     def __init__(self, mesh: Mesh1D):
@@ -384,8 +387,6 @@ def _evaluate_1d(space, coeffs, x, deriv):
 class Q1Space:
     """Bilinear W^{1,2}-conforming space; one DOF per node."""
 
-    kind = "Bilinear"
-
     def __init__(self, mesh: Mesh2D):
         self.mesh = mesh
         self.n_dofs = mesh.n_nodes
@@ -434,8 +435,6 @@ class BFSSpace:
     DOFs per node: (w, d1 w, d2 w, d12 w); element shape functions are
     tensor products of the 1D Hermite cubics.
     """
-
-    kind = "BFS"
 
     def __init__(self, mesh: Mesh2D):
         self.mesh = mesh
@@ -529,11 +528,6 @@ class BoundaryData:
     @classmethod
     def zero(cls) -> "BoundaryData":
         return cls.from_coeffs()
-
-    def is_zero(self) -> bool:
-        return all(
-            np.allclose(p.coef, 0.0) for p in (self.u1hat, self.u2hat, self.vhat)
-        )
 
 
 def dirichlet_1d(mesh: Mesh1D, bc: BoundaryData):
@@ -816,17 +810,24 @@ class FieldSystem:
 
     @cached_property
     def _force(self) -> np.ndarray:
-        """Load vector of ``_loads`` (field, name of its value sampling matrix,
-        density); its dot product with u is the work of the dead loads."""
+        """Load vector of ``_loads`` (field, its space, density); its dot
+        product with u is the work of the dead loads."""
         f = np.zeros(self.n_dofs)
-        for name, B, dens in self._loads:
+        value = (0,) * (2 if isinstance(self.quad, Quadrature2D) else 1)
+        for name, space, dens in self._loads:
             if np.any(dens):
-                f[self.slices[name]] = getattr(self, B).T @ (self.wq * dens)
+                B = space.sample_matrix(self.quad, *value)
+                f[self.slices[name]] = B.T @ (self.wq * dens)
         return f
 
     @cached_property
     def _tables(self) -> ElementTables:
         return self._element_tables()
+
+    def rows(self, u: np.ndarray) -> np.ndarray:
+        """Every reference row of ``_element_tables`` at every quadrature
+        point, (n_points, r), in point order."""
+        return self.quad.by_point(self._tables.evaluate(u))
 
     def _form(self, s: np.ndarray, Q: np.ndarray) -> float:
         """1/2 int s . Q s over channels s (E, nq, n)."""
@@ -869,10 +870,6 @@ class FieldSystem:
     def incremental(self, anchor: np.ndarray, tau: float) -> "IncrementalProblem":
         """The functional v -> phi(v) + D^2(anchor, v) / (2 tau) of one time step."""
         return IncrementalProblem(self, anchor, tau)
-
-    def incremental_hessian(self, anchor: np.ndarray, u: np.ndarray, tau: float) -> sp.csc_matrix:
-        """Free-DOF Hessian of v -> phi(v) + D^2(anchor, v) / (2 tau) at u."""
-        return self.incremental(anchor, tau).hessian(u)
 
     def hess_energy(self, u: np.ndarray) -> sp.csc_matrix:
         """Full-size Hessian of phi at u; constrained rows and columns are zero."""
@@ -944,34 +941,10 @@ class IncrementalProblem:
 
 
 # ---------------------------------------------------------------------------
-# generic quadratic assembly
-
-
-def assemble_quadratic(row, col, density, quad) -> sp.csr_matrix:
-    """Assemble the matrix of (u, v) -> sum_q w_q c(x_q) (D_r u)(x_q) (D_c v)(x_q).
-
-    ``row`` and ``col`` are (space, deriv) pairs sharing the quadrature;
-    ``density`` is a scalar, an array over quadrature points, or a callable
-    of the points.  The result is symmetric whenever row == col and the
-    density is symmetric in its arguments.
-    """
-    space_r, deriv_r = row
-    space_c, deriv_c = col
-    if isinstance(quad, Quadrature1D):
-        Br = space_r.sample_matrix(quad, deriv_r)
-        Bc = space_c.sample_matrix(quad, deriv_c)
-        pts = quad.points
-    else:
-        Br = space_r.sample_matrix(quad, *deriv_r)
-        Bc = space_c.sample_matrix(quad, *deriv_c)
-        pts = np.stack([quad.x, quad.y], axis=-1)
-    if callable(density):
-        c = np.asarray(density(pts), dtype=float)
-    else:
-        c = np.broadcast_to(np.asarray(density, dtype=float), (quad.n_points,))
-    return triple_product(Br, quad.weights * c, Bc)
+# sampling-matrix product
 
 
 def triple_product(Ba: sp.csr_matrix, diag: np.ndarray, Bb: sp.csr_matrix) -> sp.csr_matrix:
-    """Ba^T diag(d) Bb as CSR; the workhorse of every assembly."""
+    """Ba^T diag(d) Bb as CSR.  Nothing in the package calls it; it stays
+    as a trace site of the benchmark's per-layer view."""
     return (Ba.T @ sp.diags(diag) @ Bb).tocsr()

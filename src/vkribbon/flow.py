@@ -83,7 +83,6 @@ class StepReport:
     dist: float
     newton_iters: int
     grad_norm: float
-    converged: bool
     used_fallback: bool = False
     slope: float = float("nan")
 
@@ -262,7 +261,6 @@ def incremental_step(
         dist=float(np.sqrt(max(d2, 0.0))),
         newton_iters=iters,
         grad_norm=float(np.linalg.norm(g[free])),
-        converged=True,
         used_fallback=used_fallback,
     )
     return u, report
@@ -293,7 +291,6 @@ def run_trajectory(
         dist=0.0,
         newton_iters=0,
         grad_norm=float("nan"),
-        converged=True,
         slope=float(slope_fn(u)) if slope_fn else float("nan"),
     )
     reports = [first]

@@ -136,9 +136,6 @@ class QuadForm0:
     def __call__(self, q11):
         return self.C0 * np.asarray(q11) ** 2
 
-    def argmin_z(self, q11):
-        return self.argmin_coeff * np.asarray(q11)
-
 
 def reduce_to_0(q1: QuadForm1) -> QuadForm0:
     """Schur complement of the q12 entry of the reduced form."""

@@ -16,7 +16,6 @@ viscous form, or its eps-indexed family when the material carries one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -64,17 +63,6 @@ class PlateSystem(FieldSystem):
     of the two weak plate equations.
     """
 
-    # sampling matrices of basis derivatives at the quadrature points, built on first use
-    By0 = cached_property(lambda s: s.q1.sample_matrix(s.quad, 0, 0))
-    By10 = cached_property(lambda s: s.q1.sample_matrix(s.quad, 1, 0))
-    By01 = cached_property(lambda s: s.q1.sample_matrix(s.quad, 0, 1))
-    Bw0 = cached_property(lambda s: s.bfs.sample_matrix(s.quad, 0, 0))
-    Bw10 = cached_property(lambda s: s.bfs.sample_matrix(s.quad, 1, 0))
-    Bw01 = cached_property(lambda s: s.bfs.sample_matrix(s.quad, 0, 1))
-    Bw20 = cached_property(lambda s: s.bfs.sample_matrix(s.quad, 2, 0))
-    Bw11 = cached_property(lambda s: s.bfs.sample_matrix(s.quad, 1, 1))
-    Bw02 = cached_property(lambda s: s.bfs.sample_matrix(s.quad, 0, 2))
-
     def __init__(
         self,
         mesh: Mesh2D,
@@ -104,7 +92,9 @@ class PlateSystem(FieldSystem):
         self.f_q = forces.f(q.x)
         self.g1_q = forces.g1(q.x)
         self.g2_q = forces.g2(q.x)
-        self._loads = [("w", "Bw0", self.f_q), ("y1", "By0", self.g1_q), ("y2", "By0", self.g2_q)]
+        self._loads = [
+            ("w", self.bfs, self.f_q), ("y1", self.q1, self.g1_q), ("y2", self.q1, self.g2_q)
+        ]
         # the strain channels (mu, h) carry the forms C and C / 12
         self.QW, self.QR = np.zeros((6, 6)), np.zeros((6, 6))
         for Q, C in ((self.QW, self.CW), (self.QR, self.CR)):
@@ -209,10 +199,9 @@ class PlateSystem(FieldSystem):
     def project(self, u: np.ndarray) -> dict:
         """pi_eps at the quadrature points: the scaled fields plus the twist
         channel d2 w / eps, both raw and transverse-averaged."""
-        _, _, w = self.split(u)
+        R = self.rows(u)
         q = self.quad
-        twist_raw = (self.Bw01 @ w) / self.eps
-        dtwist_raw = (self.Bw11 @ w) / self.eps
+        twist_raw, dtwist_raw = R[:, 4], R[:, 6]
         return {
             "x_stations": q.x_stations(),
             "theta_bar": q.x2_average(twist_raw),
@@ -228,11 +217,10 @@ class PlateSystem(FieldSystem):
         the ribbon state, the bending/twist slot compares d11 w and the
         x2-averaged twist derivative against (w'', theta').
         """
-        y1, _, w = self.split(u)
+        mu, _, h = self.channels(u)
         q = self.quad
-        pa_2d = self.By10 @ y1 + 0.5 * (self.Bw10 @ w) ** 2
-        kap_2d = self.Bw20 @ w
-        t_2d = q.spread(q.x2_average((self.Bw11 @ w) / self.eps))
+        pa_2d, kap_2d = mu[:, 0], h[:, 0]
+        t_2d = q.spread(q.x2_average(h[:, 1]))
 
         xi1, xi2, wv, th = ribbon.split(v)
         x1 = q.x

@@ -19,7 +19,6 @@ as a separate sample array (the xi2'' channel).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -124,16 +123,6 @@ class RibbonSystem(FieldSystem):
     are the four weak equations.
     """
 
-    # sampling matrices of basis derivatives at the quadrature points, built on first use
-    B_xi1_0 = cached_property(lambda s: s.p1.sample_matrix(s.quad, 0))
-    B_xi1_1 = cached_property(lambda s: s.p1.sample_matrix(s.quad, 1))
-    B_xi2_0 = cached_property(lambda s: s.h3.sample_matrix(s.quad, 0))
-    B_xi2_2 = cached_property(lambda s: s.h3.sample_matrix(s.quad, 2))
-    B_w_1 = cached_property(lambda s: s.h3.sample_matrix(s.quad, 1))
-    B_w_0 = property(lambda s: s.B_xi2_0)
-    B_w_2 = property(lambda s: s.B_xi2_2)
-    B_th_1 = property(lambda s: s.B_xi1_1)
-
     def __init__(
         self,
         mesh: Mesh1D,
@@ -159,9 +148,7 @@ class RibbonSystem(FieldSystem):
         self.g1_q = self.forces.g1(q.points)
         self.g2_q = self.forces.g2(q.points)
         self._loads = [
-            ("w", "B_w_0", self.f_q),
-            ("xi1", "B_xi1_0", self.g1_q),
-            ("xi2", "B_xi2_0", self.g2_q),
+            ("w", self.h3, self.f_q), ("xi1", self.p1, self.g1_q), ("xi2", self.h3, self.g2_q)
         ]
         # the strain channels (a, m, kappa, t) carry C0, C0 / 12 and Q1 / 12
         self.QW, self.QR = np.zeros((4, 4)), np.zeros((4, 4))
@@ -209,13 +196,8 @@ class RibbonSystem(FieldSystem):
 
     def h_channels(self, du: np.ndarray, w_anchor_prime: np.ndarray) -> ChannelSamples:
         """Linearized channels H(du | w): membrane slot xi1' + w' * dw'."""
-        xi1, xi2, w, theta = self.split(du)
-        return ChannelSamples(
-            a=self.B_xi1_1 @ xi1 + w_anchor_prime * (self.B_w_1 @ w),
-            m=self.B_xi2_2 @ xi2,
-            kappa=self.B_w_2 @ w,
-            t=self.B_th_1 @ theta,
-        )
+        R = self.rows(du)
+        return ChannelSamples(R[:, 0] + w_anchor_prime * R[:, 2], R[:, 1], R[:, 3], R[:, 4])
 
     # -- energy / metric ----------------------------------------------------
 
@@ -359,17 +341,15 @@ class RibbonSystem(FieldSystem):
 
     def sobolev_gap(self, ua: np.ndarray, ub: np.ndarray) -> float:
         """|w - w~|_{W^{2,2}} + |theta - theta~|_{W^{1,2}} via quadrature."""
-        _, _, wa, tha = self.split(ua)
-        _, _, wb, thb = self.split(ub)
-        dw = wa - wb
-        dth = tha - thb
-        wq = self.wq
+        d = ua - ub
+        _, _, dw, dth = self.split(d)
+        R, x, wq = self.rows(d), self.quad.points, self.wq
         w_sq = (
-            np.dot(wq, (self.B_w_0 @ dw) ** 2)
-            + np.dot(wq, (self.B_w_1 @ dw) ** 2)
-            + np.dot(wq, (self.B_w_2 @ dw) ** 2)
+            np.dot(wq, self.h3.evaluate(dw, x) ** 2)
+            + np.dot(wq, R[:, 2] ** 2)
+            + np.dot(wq, R[:, 3] ** 2)
         )
-        th_sq = np.dot(wq, (self.B_xi1_0 @ dth) ** 2) + np.dot(wq, (self.B_th_1 @ dth) ** 2)
+        th_sq = np.dot(wq, self.p1.evaluate(dth, x) ** 2) + np.dot(wq, R[:, 4] ** 2)
         return float(np.sqrt(w_sq) + np.sqrt(th_sq))
 
 

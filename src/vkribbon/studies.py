@@ -126,11 +126,8 @@ def _projection_diag(plate: PlateSystem, u: np.ndarray) -> dict:
     """Compactness-channel samples: gamma ~ d22 w / eps^2, E12, E22.
 
     Reported, never asserted against theory."""
-    y1, y2, w = plate.split(u)
-    eps = plate.eps
-    gamma = (plate.Bw02 @ w) / eps**2
-    E12 = ((plate.By01 @ y1) + (plate.By10 @ y2)) / (2.0 * eps)
-    E22 = (plate.By01 @ y2) / eps**2
+    R = plate.rows(u)
+    gamma, E12, E22 = R[:, 7], R[:, 1], R[:, 2]
     wq = plate.wq
     area = wq.sum()
 

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.polynomial import Polynomial
 
-from vkribbon import fem, flow
+from vkribbon import fem, flow, studies
 from vkribbon.fem import (
     BFSSpace,
     BoundaryData,
@@ -71,13 +71,13 @@ class TestIncrementalHessian:
         fd = (
             incremental_gradient(s, anchor, u + h * d) - incremental_gradient(s, anchor, u - h * d)
         ) / (2 * h)
-        hv = s.incremental_hessian(anchor, u, TAU) @ d[s.free]
+        hv = s.incremental(anchor, TAU).hessian(u) @ d[s.free]
         assert np.linalg.norm(hv - fd) <= 2e-6 * np.linalg.norm(hv)
 
     def test_symmetric(self, name):
         s = SYSTEMS[name]()
         rng = np.random.default_rng(62)
-        H = s.incremental_hessian(random_state(s, rng), random_state(s, rng), TAU)
+        H = s.incremental(random_state(s, rng), TAU).hessian(random_state(s, rng))
         assert abs(H - H.T).max() <= 1e-13 * abs(H).max()
 
     def test_fused_equals_sum_of_parts(self, name):
@@ -86,14 +86,14 @@ class TestIncrementalHessian:
         anchor, u = random_state(s, rng), random_state(s, rng)
         parts = (s.hess_energy(u) + s.hess_halfsqdist(anchor, u) / TAU).tocsr()
         parts_ff = parts[s.free][:, s.free]
-        fused = s.incremental_hessian(anchor, u, TAU)
+        fused = s.incremental(anchor, TAU).hessian(u)
         assert abs(fused - parts_ff).max() <= 1e-13 * abs(parts_ff).max()
         # the full-size wrappers vanish on constrained rows and columns
         assert parts[s.bc_mask].nnz == 0 and parts[:, s.bc_mask].nnz == 0
 
     def test_csc_for_superlu(self, name):
         s = SYSTEMS[name]()
-        H = s.incremental_hessian(s.zero_state(), s.zero_state(), TAU)
+        H = s.incremental(s.zero_state(), TAU).hessian(s.zero_state())
         assert H.format == "csc" and H.has_canonical_format
         assert H.shape == (int(s.free.sum()),) * 2
 
@@ -112,6 +112,76 @@ class TestIncrementalHessian:
         assert s._plan.bandwidth < H.shape[0] // 2
 
 
+def sampled_rows(s):
+    """Each element row at the quadrature points as a sum of terms
+    scale * sample_matrix(quad, *derivs) @ u[field], one list per row."""
+    if isinstance(s, RibbonSystem):
+        return [
+            [(s.p1, (1,), "xi1", 1.0)],
+            [(s.h3, (2,), "xi2", 1.0)],
+            [(s.h3, (1,), "w", 1.0)],
+            [(s.h3, (2,), "w", 1.0)],
+            [(s.p1, (1,), "theta", 1.0)],
+        ]
+    e = s.eps
+    return [
+        [(s.q1, (1, 0), "y1", 1.0)],
+        [(s.q1, (0, 1), "y1", 0.5 / e), (s.q1, (1, 0), "y2", 0.5 / e)],
+        [(s.q1, (0, 1), "y2", e**-2)],
+        [(s.bfs, (1, 0), "w", 1.0)],
+        [(s.bfs, (0, 1), "w", 1.0 / e)],
+        [(s.bfs, (2, 0), "w", 1.0)],
+        [(s.bfs, (1, 1), "w", 1.0 / e)],
+        [(s.bfs, (0, 2), "w", e**-2)],
+    ]
+
+
+@pytest.mark.parametrize("name", list(SYSTEMS))
+def test_rows_match_sampling_matrices(name):
+    s = SYSTEMS[name]()
+    u = random_state(s, np.random.default_rng(66))
+    R = s.rows(u)
+    terms = sampled_rows(s)
+    assert R.shape == (s.quad.n_points, len(terms))
+    for col, row in zip(R.T, terms):
+        ref = sum(
+            c * (space.sample_matrix(s.quad, *d) @ u[s.slices[f]]) for space, d, f, c in row
+        )
+        assert np.abs(col - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_diagnostics_build_no_sampling_matrix(monkeypatch):
+    calls = []
+    for space in (P1Space, Hermite3Space, Q1Space, BFSSpace):
+        original = space.sample_matrix
+
+        def counted(self, *args, _original=original):
+            calls.append(type(self).__name__)
+            return _original(self, *args)
+
+        monkeypatch.setattr(space, "sample_matrix", counted)
+    r = ribbon_system()
+    p = plate_system(0.05)
+    rng = np.random.default_rng(67)
+    v, v2, u = random_state(r, rng, 0.05), random_state(r, rng, 0.05), random_state(p, rng, 0.05)
+    # the loads: one value matrix per nonzero density (f, g1, g2), built
+    # once with the load vector and not kept
+    r.energy(v), p.energy(u)
+    expect = ["Hermite3Space", "P1Space", "Hermite3Space", "BFSSpace", "Q1Space", "Q1Space"]
+    assert calls == expect
+    r.energy(v), p.energy(u)
+    assert calls == expect
+    assert not any(sp.issparse(x) for x in [*vars(r).values(), *vars(p).values()])
+    calls.clear()
+    only_f = RibbonSystem(Mesh1D(l=1.0, n=12), r.material, BC, RibbonForces.from_coeffs(f=(1.0,)))
+    only_f.energy(v)
+    assert calls == ["Hermite3Space"]
+    calls.clear()
+    p.project(u), p.d0_projected(u, r, v), studies._projection_diag(p, u)
+    r.local_slope(v, detailed=True), r.sobolev_gap(v, v2)
+    assert calls == []
+
+
 def shifted_diagonal(H, sigma):
     """H - sigma I on the same pattern."""
     Hs = H.copy()
@@ -125,7 +195,7 @@ def test_indefinite_hessian_takes_superlu_path(name, monkeypatch):
     s = SYSTEMS[name]()
     rng = np.random.default_rng(65)
     u0 = random_state(s, rng, amp=0.05)
-    H = s.incremental_hessian(u0, u0, TAU)
+    H = s.incremental(u0, TAU).hessian(u0)
     # positive diagonal, negative eigenvalues: only pbtrf can reject it
     sigma = 0.3 * H.diagonal().min()
     assert np.linalg.eigvalsh(shifted_diagonal(H, sigma).toarray())[0] < 0.0
@@ -199,7 +269,7 @@ def test_plate_pattern_is_element_connectivity():
     fields = ["y"] * 8 + ["w"] * 16
     coupled = {("y", "y"), ("y", "w"), ("w", "y"), ("w", "w")}
     expect = connectivity(s, elements, fields, coupled)
-    H = s.incremental_hessian(s.zero_state(), s.zero_state(), TAU)
+    H = s.incremental(s.zero_state(), TAU).hessian(s.zero_state())
     assert stored_pairs(H) == expect
 
 
@@ -221,7 +291,7 @@ def test_ribbon_pattern_is_coupled_element_connectivity():
     coupled = {("xi1", "xi1"), ("xi1", "w"), ("xi2", "xi2"), ("w", "w"), ("w", "theta")}
     coupled |= {(b, a) for a, b in coupled} | {("theta", "theta")}
     expect = connectivity(s, elements, fields, coupled)
-    H = s.incremental_hessian(s.zero_state(), s.zero_state(), TAU)
+    H = s.incremental(s.zero_state(), TAU).hessian(s.zero_state())
     assert stored_pairs(H) == expect
 
 
@@ -239,8 +309,8 @@ def test_no_plan_without_a_hessian(monkeypatch):
     u = build_recovery(p, RecoveryInputs(r.state(v)))
     p.energy(u), p.sqdist(u, u), p.grad_energy(u), p.grad_halfsqdist(u, u)
     assert r._plan is None and p._plan is None and not orderings
-    r.incremental_hessian(v, v, TAU)
-    p.incremental_hessian(u, u, TAU)
+    r.incremental(v, TAU).hessian(v)
+    p.incremental(u, TAU).hessian(u)
     assert r._plan is not None and p._plan is not None
     # one band layout per system, whatever is assembled or solved afterwards
     flow.run_trajectory(r, v, TAU, 2 * TAU, slope_fn=r.local_slope)

@@ -294,3 +294,12 @@ def test_program_runs_blas_on_one_thread():
     lines = proc.stdout.splitlines()
     assert "env 1 1" in lines
     assert all(ln == "openblas 1" for ln in lines if ln.startswith("openblas"))
+
+
+def test_every_export_resolves():
+    # the package loads its names lazily, so a stale table entry fails only on access
+    import vkribbon
+
+    assert vkribbon.__all__
+    missing = [name for name in vkribbon.__all__ if not hasattr(vkribbon, name)]
+    assert not missing

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from vkribbon.fem import (
     BFSSpace,
@@ -14,7 +15,6 @@ from vkribbon.fem import (
     Q1Space,
     Quadrature1D,
     Quadrature2D,
-    assemble_quadratic,
     dirichlet_1d,
     dirichlet_2d,
     scaled_operators_2d,
@@ -215,12 +215,22 @@ class TestDirichlet:
         assert not mask[q1.n_dofs + top_node]
 
 
+def weighted_gram(Br, density, quad, Bc=None):
+    """sum_q w_q c_q (Br u)_q (Bc v)_q as a matrix, Br^T diag(w c) Bc, from
+    two sampling matrices; Bc defaults to Br."""
+    Bc = Br if Bc is None else Bc
+    return (Br.T @ sp.diags(quad.weights * density) @ Bc).tocsr()
+
+
 class TestAssembly:
+    """Quadratic forms assembled from sampling matrices: the oracle the
+    sampling matrices provide for the element path."""
+
     def test_p1_stiffness_stencil(self):
         mesh = Mesh1D(l=1.0, n=2)
         space = P1Space(mesh)
         quad = Quadrature1D(mesh, GaussRule(3))
-        K = assemble_quadratic((space, 1), (space, 1), 1.0, quad).toarray()
+        K = weighted_gram(space.sample_matrix(quad, 1), 1.0, quad).toarray()
         h = mesh.h
         expect = np.array([[1, -1, 0], [-1, 2, -1], [0, -1, 1]]) / h
         assert np.abs(K - expect).max() < 1e-12
@@ -229,7 +239,7 @@ class TestAssembly:
         mesh = Mesh1D(l=1.0, n=3)
         space = Hermite3Space(mesh)
         quad = Quadrature1D(mesh, GaussRule(5))
-        K = assemble_quadratic((space, 2), (space, 2), 1.0, quad)
+        K = weighted_gram(space.sample_matrix(quad, 2), 1.0, quad)
         p = np.polynomial.Polynomial((0.0, 0.0, 1.5, 0.5))
         q = np.polynomial.Polynomial((0.0, 0.0, -1.0, 1.0))
         cp = space.interpolate(p, p.deriv())
@@ -242,7 +252,7 @@ class TestAssembly:
     def test_zero_density(self, mesh):
         space = P1Space(mesh)
         quad = Quadrature1D(mesh)
-        K = assemble_quadratic((space, 0), (space, 0), 0.0, quad)
+        K = weighted_gram(space.sample_matrix(quad, 0), 0.0, quad)
         assert K.nnz == 0 or np.abs(K.data).max() == 0.0
 
     def test_against_dense_assembly(self):
@@ -251,7 +261,7 @@ class TestAssembly:
         space = P1Space(mesh)
         quad = Quadrature1D(mesh, GaussRule(4))
         dens = lambda x: 1.0 + x**2
-        K = assemble_quadratic((space, 1), (space, 1), dens, quad).toarray()
+        K = weighted_gram(space.sample_matrix(quad, 1), dens(quad.points), quad).toarray()
         ndof = space.n_dofs
         dense = np.zeros((ndof, ndof))
         for i in range(ndof):
@@ -268,5 +278,6 @@ class TestAssembly:
     def test_2d_assembly_symmetric(self, mesh2):
         space = Q1Space(mesh2)
         quad = Quadrature2D(mesh2, GaussRule(3))
-        K = assemble_quadratic((space, (1, 0)), (space, (1, 0)), 2.0, quad)
+        Br, Bc = space.sample_matrix(quad, 1, 0), space.sample_matrix(quad, 1, 0)
+        K = weighted_gram(Br, 2.0, quad, Bc)
         assert np.abs((K - K.T).data).max() < 1e-13 if (K - K.T).nnz else True

@@ -78,7 +78,6 @@ class TestIncrementalStep:
     def test_one_dof_closed_form(self):
         u, rep = incremental_step(OneDof(), 1.0, np.array([1.0]))
         assert u[0] == pytest.approx(0.5, abs=1e-12)
-        assert rep.converged
 
     def test_xi2_dense_oracle(self):
         # the step's optimality system is K (C_W xi + (C_R / tau)(xi - xi_prev)) = 0

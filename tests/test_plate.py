@@ -313,12 +313,9 @@ class TestOperatorPaths:
         pts = np.stack([s.quad.x, s.quad.y], axis=-1)
         ops = scaled_operators_2d(mesh2, s.eps, {"y1": y1, "y2": y2, "w": w}, pts)
         _, g, h = s.channels(u)
+        B10, B01 = s.q1.sample_matrix(s.quad, 1, 0), s.q1.sample_matrix(s.quad, 0, 1)
         E_sys = np.stack(
-            [
-                s.By10 @ y1,
-                ((s.By01 @ y1) + (s.By10 @ y2)) / (2 * s.eps),
-                (s.By01 @ y2) / s.eps**2,
-            ],
+            [B10 @ y1, ((B01 @ y1) + (B10 @ y2)) / (2 * s.eps), (B01 @ y2) / s.eps**2],
             axis=-1,
         )
         assert np.abs(ops["E"] - E_sys).max() < 1e-12

@@ -118,8 +118,9 @@ class TestChannelExpansion:
         v = random_state(system, rng)
         Gu = system.channels(u)
         Gv = system.channels(v)
-        wprime_u = system.B_w_1 @ u[system.slices["w"]]
-        dwprime = wprime_u - system.B_w_1 @ v[system.slices["w"]]
+        B1 = system.h3.sample_matrix(system.quad, 1)
+        wprime_u = B1 @ u[system.slices["w"]]
+        dwprime = wprime_u - B1 @ v[system.slices["w"]]
         H = system.h_channels(u - v, wprime_u)
         scale = 1.0 + max(np.abs(Gu.m).max(), np.abs(Gu.kappa).max())
         assert np.abs((Gu.a - Gv.a) - (H.a - 0.5 * dwprime**2)).max() < 1e-12 * scale
@@ -282,7 +283,8 @@ class TestWeakResidual:
         m = s.material
         a_n = s.channels(nxt)
         a_p = s.channels(prev)
-        wprime = s.B_w_1 @ nxt[s.slices["w"]]
+        B0, B1, B2 = (s.h3.sample_matrix(s.quad, d) for d in range(3))
+        wprime = B1 @ nxt[s.slices["w"]]
         # membrane stress with difference quotient + bending pair
         sigma = m.W0.C0 * a_n.a + m.R0.C0 * (a_n.a - a_p.a) / tau
         bend1 = (
@@ -292,9 +294,9 @@ class TestWeakResidual:
         )
         wq = s.wq
         expect = (
-            s.B_w_1.T @ (wq * sigma * wprime)
-            + s.B_w_2.T @ (wq * bend1 / 12.0)
-            - s.B_w_0.T @ (wq * s.f_q)
+            B1.T @ (wq * sigma * wprime)
+            + B2.T @ (wq * bend1 / 12.0)
+            - B0.T @ (wq * s.f_q)
         )
         got = res[s.slices["w"]]
         free_w = s.free[s.slices["w"]]
