@@ -15,13 +15,17 @@ ElementTables pairs that table with the element-DOF list: ``evaluate``
 gathers the element coefficients and yields every row value at every
 point in one matrix product, and ``scatter``, its transpose, turns
 per-point row coefficients into a DOF vector with one more product and a
-bincount.  Energies, gradients, Hessians and every diagnostic field value
-are read through these two operations; an ElementAssembly plan, made on
-the first Hessian, scatters the element matrices of one batched product
-into the fixed CSC pattern of the free DOFs, and solves with such
-matrices by banded Cholesky in a reverse Cuthill-McKee order of that
-pattern.  A space's sparse sampling matrix (rows = quadrature points,
-columns = DOFs) builds the load vector, once per system.
+bincount.  Energies, gradients and every diagnostic field value are read
+through these two operations.  An ElementAssembly plan, made on the first
+Hessian, orders the fixed pattern of the free DOFs by reverse
+Cuthill-McKee into a narrow band.  The strain channels are linear in the
+element rows apart from a few quadratic terms, so the plan computes the
+element values of the channel forms on the linear rows once, and each
+Hessian adds the state-dependent rest with one matrix product over all
+elements and one bincount straight into LAPACK band storage, where the
+plan solves by banded Cholesky.  A space's sparse sampling matrix (rows =
+quadrature points, columns = DOFs) builds the load vector, once per
+system.
 """
 
 from __future__ import annotations
@@ -31,8 +35,10 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import Polynomial
 from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.blas import dsbmv
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 
@@ -654,12 +660,16 @@ class ElementTables:
     holds r reference rows (scaled basis derivatives) at the nq quadrature
     points of an element, the same for every element, ``weights`` (nq,) its
     quadrature weights, and ``coupling`` (r, r) marks the row pairs a
-    Hessian density may couple.
+    Hessian density may couple.  The strain channels are the rows
+    ``linear`` plus terms quadratic in the other rows, so a Hessian density
+    is the channel form on the linear rows, the same at every point, plus
+    a remainder on the row pairs ``pairs`` (i, j) only.
     """
 
-    def __init__(self, dofs, rows, weights, coupling, n_dofs: int):
+    def __init__(self, dofs, rows, weights, coupling, n_dofs: int, linear, pairs):
         self.dofs, self.rows, self.weights, self.coupling = dofs, rows, weights, coupling
         self.n_dofs = n_dofs
+        self.linear, self.pairs = np.asarray(linear), np.asarray(pairs)
         self.flat = rows.reshape(-1, rows.shape[-1])
         self.flat_t = self.flat.T.copy()
 
@@ -673,20 +683,46 @@ class ElementTables:
         return np.bincount(self.dofs.ravel(), weights=local.ravel(), minlength=self.n_dofs)
 
 
-class ElementAssembly:
-    """Fixed-pattern assembly of element matrices into the free-DOF block,
-    and banded Cholesky factorization on that pattern.
+class BandMatrix:
+    """A symmetric free-DOF matrix in the lower band storage of its
+    ElementAssembly plan: ``band[c, o]`` is the entry (c + o, c) in the
+    plan's RCM order, so column 0 holds the diagonal and ``band.T`` is
+    LAPACK's lower band layout."""
 
-    The CSC pattern is the free-free element connectivity of ``tables``
-    restricted to DOF pairs that coupled rows reach; each assembly is one
-    batched product and one bincount into a fresh ``data`` array over it.
-    A reverse Cuthill-McKee order of the pattern makes it a band of
-    half-width ``bandwidth``; ``band_index`` maps each CSC entry in the
-    band's lower triangle (``band_entries``) to its flat slot in LAPACK
-    lower band storage, so filling the band is one indexed assignment.
+    def __init__(self, plan: "ElementAssembly", band: np.ndarray):
+        self.plan, self.band = plan, band
+        self.shape = (plan.n_free, plan.n_free)
+
+    def diagonal(self) -> np.ndarray:
+        d = np.empty(self.shape[0])
+        d[self.plan.perm] = self.band[:, 0]
+        return d
+
+    def tocsc(self) -> sp.csc_matrix:
+        """CSC copy on the plan's pattern, in free-DOF order."""
+        p = self.plan
+        return sp.csc_matrix((self.band.ravel()[p.gather], p.indices, p.indptr), shape=self.shape)
+
+
+class ElementAssembly:
+    """Assembly of free-DOF Hessians straight into band storage, and banded
+    Cholesky factorization of them.
+
+    The pattern is the free-free element connectivity of ``tables``
+    restricted to DOF pairs that coupled rows reach, kept as CSC
+    (``indices``, ``indptr``).  A reverse Cuthill-McKee order ``perm`` of
+    it makes it a band of half-width ``bandwidth``; ``gather`` holds the
+    flat band position of each CSC entry.  An element matrix is kept as
+    its values on the local DOF pairs a <= b that a Hessian reaches, and
+    ``slot`` (E * pairs) sends them to their band positions, constrained
+    DOFs to a dropped bin.  The linear rows carry the same density at every
+    point, so the element values of the forms QW and QR there, ``KW`` and
+    ``KR``, are computed once; the remainder density on the row pairs
+    turns into element values by one product with ``T``: (point, row pair)
+    -> element pair, quadrature weights included.
     """
 
-    def __init__(self, tables: ElementTables, free: np.ndarray):
+    def __init__(self, tables: ElementTables, free: np.ndarray, QW: np.ndarray, QR: np.ndarray):
         dofs, rows = tables.dofs, tables.rows
         nf = int(free.sum())
         support = (rows != 0).astype(float)
@@ -694,72 +730,85 @@ class ElementAssembly:
         index = np.full(free.size, -1)
         index[free] = np.arange(nf)
         loc = index[dofs]
-        # entry (e, a, b) sits at row loc[e, a], column loc[e, b]; keys are
-        # column-major, and entries on constrained DOFs land in a dropped bin
+        # entry (e, a, b) sits at row loc[e, a], column loc[e, b]; keys are column-major
         keep = (loc[:, :, None] >= 0) & (loc[:, None, :] >= 0) & local
-        key, slot = np.unique((loc[:, None, :] * nf + loc[:, :, None])[keep], return_inverse=True)
-        self.slot = np.full(keep.size, key.size)
-        self.slot[keep.ravel()] = slot
-        self.free, self.n_free, self.nnz = free, nf, key.size
-        self.tables = tables
+        key = np.unique((loc[:, None, :] * nf + loc[:, :, None])[keep])
+        self.free, self.n_free, self.tables = free, nf, tables
         self.indices = (key % nf).astype(np.int32)
         self.indptr = np.searchsorted(key // nf, np.arange(nf + 1)).astype(np.int32)
 
-        pattern = sp.csc_matrix((np.ones(self.nnz), self.indices, self.indptr), shape=(nf, nf))
+        pattern = sp.csc_matrix((np.ones(key.size), self.indices, self.indptr), shape=(nf, nf))
         self.perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
-        rank = np.empty(nf, dtype=np.int64)
+        rank = np.full(nf + 1, -1)  # a constrained DOF (loc -1) ranks -1
         rank[self.perm] = np.arange(nf)
         row, col = rank[self.indices], rank[key // nf]
-        lower = row >= col
-        self.band_entries = np.flatnonzero(lower)
-        self.band_row, self.band_col = row[lower], col[lower]
-        offset = self.band_row - self.band_col
-        self.bandwidth = int(offset.max(initial=0))
-        self.band_index = self.band_col * (self.bandwidth + 1) + offset
+        self.bandwidth = int(np.abs(row - col).max(initial=0))
+        width = self.bandwidth + 1
+        self.size = nf * width
+        self.gather = np.minimum(row, col) * width + np.abs(row - col)
 
-    def assemble(self, dens: np.ndarray) -> sp.csc_matrix:
-        """Free-DOF matrix of sum_e sum_q rows_q^T dens[e, q] rows_q.
+        # a density d on rows (i, j) adds d (rows_i[a] rows_j[b] + rows_j[a] rows_i[b])
+        # to the element pair (a, b), the second term only when i != j
+        a, b = np.triu_indices(dofs.shape[1])
+        i, j = tables.pairs.T
+        ri, rj = rows[:, i], rows[:, j]
+        T = ri[..., a] * rj[..., b] + (i != j)[:, None] * rj[..., a] * ri[..., b]
+        T = (T * tables.weights[:, None, None]).reshape(-1, a.size)
+        KW, KR = self.constant_block(QW), self.constant_block(QR)
+        reached = np.any(T != 0.0, axis=0) | (KW != 0.0) | (KR != 0.0)
+        a, b = a[reached], b[reached]
+        self.T, self.KW, self.KR = T[:, reached], KW[reached], KR[reached]
+        ra, rb = rank[loc[:, a]], rank[loc[:, b]]
+        ok = (ra >= 0) & (rb >= 0) & local[a, b]
+        self.slot = np.where(ok, np.minimum(ra, rb) * width + np.abs(ra - rb), self.size).ravel()
 
-        ``dens`` (E, nq, r, r) carries the quadrature weights."""
-        rows, rows_t = self.tables.rows, self.tables.flat_t
-        k, m = rows_t.shape
-        K = np.empty((len(dens), k, k))
-        # element chunks keep the (chunk, nq, r, k) intermediate near 2 MB
-        step = max(1, 2**18 // rows.size)
-        for lo in range(0, len(dens), step):
-            K[lo : lo + step] = rows_t @ (dens[lo : lo + step] @ rows).reshape(-1, m, k)
-        data = np.bincount(self.slot, weights=K.ravel(), minlength=self.nnz + 1)
-        return sp.csc_matrix(
-            (data[: self.nnz], self.indices, self.indptr), shape=(self.n_free, self.n_free)
-        )
+    def constant_block(self, Q: np.ndarray) -> np.ndarray:
+        """Element values on the pairs a <= b of the channel form Q on the
+        linear rows; every element of the uniform mesh has the same."""
+        t = self.tables
+        lin = t.rows[:, t.linear]
+        a, b = np.triu_indices(t.dofs.shape[1])
+        return np.einsum("q,qia,ij,qjb->ab", t.weights, lin, Q, lin)[a, b]
 
-    def solve(self, H: sp.csc_matrix, b: np.ndarray):
-        """H^{-1} b for a free-DOF matrix H with this pattern, or None when
-        H is not positive definite.
+    def assemble(self, rem: np.ndarray, cw: float, cr: float) -> BandMatrix:
+        """Free-DOF matrix of the density cw QW + cr QR on the linear rows
+        plus ``rem`` (E, nq, len(pairs)) on the row pairs, without weights."""
+        values = rem.reshape(len(rem), -1) @ self.T
+        values += cw * self.KW + cr * self.KR
+        band = np.bincount(self.slot, weights=values.ravel(), minlength=self.size + 1)
+        return BandMatrix(self, band[:-1].reshape(self.n_free, -1))
 
-        Banded Cholesky (LAPACK ``pbtrf``) of H in the RCM order, Jacobi-
-        scaled to unit diagonal, then one pass of iterative refinement; a
-        nonpositive diagonal entry or a failed ``pbtrf`` is the
-        indefiniteness test."""
-        d = H.diagonal()[self.perm]
+    def solve(self, H: BandMatrix, b: np.ndarray):
+        """H^{-1} b for a matrix from ``assemble``, or None when H is not
+        positive definite.
+
+        Banded Cholesky (LAPACK ``pbtrf``) of H Jacobi-scaled to unit
+        diagonal, then one pass of iterative refinement with the band
+        product ``dsbmv``, all in the RCM order; a nonpositive diagonal
+        entry or a failed ``pbtrf`` is the indefiniteness test."""
+        band, width = H.band, self.bandwidth + 1
+        d = band[:, 0]
         if not np.all(d > 0.0):
             return None
         s = 1.0 / np.sqrt(d)
-        # filled column by column; its transpose is the Fortran-ordered band
-        band = np.zeros((self.n_free, self.bandwidth + 1))
-        band.flat[self.band_index] = H.data[self.band_entries] * s[self.band_row] * s[self.band_col]
+        # entry (c + o, c) scales by s[c + o] s[c]; rows past the end are zero padding
+        pad = np.concatenate([s, np.zeros(self.bandwidth)])
+        scaled = band * sliding_window_view(pad, width)
+        scaled *= s[:, None]
         try:
-            chol = cholesky_banded(band.T, overwrite_ab=True, lower=True, check_finite=False)
+            chol = cholesky_banded(scaled.T, overwrite_ab=True, lower=True, check_finite=False)
         except np.linalg.LinAlgError:
             return None
 
         def band_solve(r: np.ndarray) -> np.ndarray:
-            x = np.empty(self.n_free)
-            x[self.perm] = s * cho_solve_banded((chol, True), s * r[self.perm], check_finite=False)
-            return x
+            return s * cho_solve_banded((chol, True), s * r, check_finite=False)
 
-        x = band_solve(b)
-        return x + band_solve(b - H @ x)
+        bp = b[self.perm]
+        x = band_solve(bp)
+        x += band_solve(bp - dsbmv(self.bandwidth, 1.0, band.T, x, lower=1))
+        out = np.empty(self.n_free)
+        out[self.perm] = x
+        return out
 
     def embed(self, K: sp.csc_matrix) -> sp.csc_matrix:
         """Full-size copy of a free-DOF matrix; constrained rows and columns are zero."""
@@ -781,8 +830,11 @@ class FieldSystem:
     QR, ``_element_tables()`` and the hooks ``_channels(u)`` -> ch = (s, the
     rest that ds/drows needs), ``_row_stress(ch, sig)`` -> ds/drows^T sig and
     ``_hessian_density(ch, sig, C)`` -> ds/drows^T C ds/drows plus the
-    geometric term of sig.  Coefficients (cw, cr) select cw * phi +
-    cr * D^2(anchor, .)/2: stress cw QW s + cr QR (s - s_anchor), C = cw QW + cr QR.
+    geometric term of sig on the tables' row ``pairs`` only, (E, nq,
+    len(pairs)) without weights; the rest of the density, C on the linear
+    rows, is the same at every point and the assembly plan adds it.
+    Coefficients (cw, cr) select cw * phi + cr * D^2(anchor, .)/2: stress
+    cw QW s + cr QR (s - s_anchor), C = cw QW + cr QR.
     """
 
     def _set_layout(self, sizes: dict, mask: np.ndarray, values: np.ndarray) -> None:
@@ -845,14 +897,13 @@ class FieldSystem:
         g[self.bc_mask] = 0.0
         return g
 
-    def _hessian(self, ch, ch_a, cw: float, cr: float) -> sp.csc_matrix:
-        """Free-DOF Hessian at channels ch."""
+    def _hessian(self, ch, ch_a, cw: float, cr: float) -> BandMatrix:
+        """Free-DOF Hessian at channels ch, in band storage."""
         C = cw * self.QW + cr * self.QR
-        dens = self._hessian_density(ch, self._stress(ch, ch_a, cw, cr), C)
-        dens *= self._tables.weights[:, None, None]
+        rem = self._hessian_density(ch, self._stress(ch, ch_a, cw, cr), C)
         if self._plan is None:
-            self._plan = ElementAssembly(self._tables, self.free)
-        return self._plan.assemble(dens)
+            self._plan = ElementAssembly(self._tables, self.free, self.QW, self.QR)
+        return self._plan.assemble(rem, cw, cr)
 
     def energy(self, u: np.ndarray) -> float:
         return self._form(self._channels(u)[0], self.QW) - float(np.dot(self._force, u))
@@ -875,12 +926,12 @@ class FieldSystem:
         """Full-size Hessian of phi at u; constrained rows and columns are zero."""
         ch = self._channels(u)
         K = self._hessian(ch, ch, 1.0, 0.0)
-        return self._plan.embed(K)
+        return self._plan.embed(K.tocsc())
 
     def hess_halfsqdist(self, anchor: np.ndarray, u: np.ndarray) -> sp.csc_matrix:
         """Full-size Hessian of D^2(anchor, .)/2 at u; constrained rows and columns are zero."""
         K = self._hessian(self._channels(u), self._channels(anchor), 0.0, 1.0)
-        return self._plan.embed(K)
+        return self._plan.embed(K.tocsc())
 
     def weak_residual_vector(self, prev: np.ndarray, nxt: np.ndarray, tau: float) -> np.ndarray:
         """Pairings of the weak equations (one block per field) against every
@@ -899,8 +950,9 @@ class IncrementalProblem:
     """v -> Phi(v) = phi(v) + D^2(anchor, v) / (2 tau) of one time step.
 
     Keeps the anchor's channels and those of the last point, keyed on a
-    copy of its values, so value, gradient and Hessian at one point share
-    one evaluation.  Holds the system; the system never holds it.
+    copy of its values, with (phi, D^2) there once asked for, so value,
+    gradient and Hessian at one point share one evaluation.  Holds the
+    system; the system never holds it.
     """
 
     def __init__(self, system: FieldSystem, anchor: np.ndarray, tau: float):
@@ -909,18 +961,22 @@ class IncrementalProblem:
         self.system, self.cr = system, 1.0 / tau
         self._key = np.array(anchor, dtype=float)
         self._anchor = self._ch = system._channels(self._key)
+        self._parts = None
 
     def _at(self, v: np.ndarray):
         if not np.array_equal(v, self._key):
             self._key = np.array(v, dtype=float)
             self._ch = self.system._channels(self._key)
+            self._parts = None
         return self._ch
 
     def parts(self, v: np.ndarray) -> tuple[float, float]:
         """(phi(v), D^2(anchor, v))."""
         system, strain = self.system, self._at(v)[0]
-        phi = system._form(strain, system.QW) - float(np.dot(system._force, v))
-        return phi, 2.0 * system._form(strain - self._anchor[0], system.QR)
+        if self._parts is None:
+            phi = system._form(strain, system.QW) - float(np.dot(system._force, self._key))
+            self._parts = phi, 2.0 * system._form(strain - self._anchor[0], system.QR)
+        return self._parts
 
     def value(self, v: np.ndarray) -> float:
         phi, d2 = self.parts(v)
@@ -930,11 +986,12 @@ class IncrementalProblem:
         """Full-size gradient of Phi at v; zero on the constrained DOFs."""
         return self.system._gradient(self._at(v), self._anchor, 1.0, self.cr)
 
-    def hessian(self, v: np.ndarray) -> sp.csc_matrix:
-        """Free-DOF Hessian of Phi at v, CSC on the plan's fixed pattern."""
+    def hessian(self, v: np.ndarray) -> BandMatrix:
+        """Free-DOF Hessian of Phi at v in the plan's band storage; its
+        ``tocsc()`` is the CSC matrix on the plan's fixed pattern."""
         return self.system._hessian(self._at(v), self._anchor, 1.0, self.cr)
 
-    def solve(self, H: sp.csc_matrix, rhs: np.ndarray):
+    def solve(self, H: BandMatrix, rhs: np.ndarray):
         """H^{-1} rhs for a Hessian from ``hessian`` by banded Cholesky, or
         None when H is not positive definite (ElementAssembly.solve)."""
         return self.system._plan.solve(H, rhs)

@@ -6,7 +6,8 @@ One step solves
     Phi(tau, u; v) = D(v, u)^2 / (2 tau) + phi(v)
 
 by a Newton iteration with Armijo backtracking.  The incremental problem
-solves for the Newton direction by banded Cholesky on its fixed pattern;
+assembles each Hessian straight into the band storage of its fixed
+pattern and solves for the Newton direction by banded Cholesky there;
 a Hessian that is not positive definite (the membrane part can be
 indefinite far from minimizers) goes to SuperLU instead, and when that
 direction fails to descend the step falls back to scaled gradient
@@ -41,9 +42,11 @@ class GradientSystem(Protocol):
     Phi(v) = phi(v) + D^2(anchor, v) / (2 tau) of one step, with methods
     ``parts(v)`` -> (phi(v), D^2(anchor, v)), ``value(v)`` -> Phi(v),
     ``grad(v)``, the full-size DOF gradient with zero constrained entries,
-    ``hessian(v)``, the CSC matrix on the free DOFs, and ``solve(H, rhs)``
-    -> H^{-1} rhs for such a matrix, or None when H is not positive
-    definite (the stepper then uses SuperLU).  D^2 must be
+    ``hessian(v)``, a symmetric matrix on the free DOFs with
+    ``diagonal()`` and ``tocsc()`` (a scipy sparse matrix qualifies; the
+    field systems return their band storage), and ``solve(H, rhs)`` ->
+    H^{-1} rhs for such a matrix, or None when H is not positive definite
+    (the stepper then runs SuperLU on ``H.tocsc()``).  D^2 must be
     symmetric, nonnegative and zero exactly on the diagonal; the gradients
     must be consistent with finite differences of the values.
     """
@@ -145,16 +148,16 @@ def _superlu_solve(H: sp.csc_matrix, rhs: np.ndarray):
     return x * scale
 
 
-def _solve_spd(problem, H: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
+def _solve_spd(problem, H, rhs: np.ndarray) -> np.ndarray:
     """Newton direction H^{-1} rhs, or None when no direct solve gives one.
 
     The problem's banded Cholesky solves when H is positive definite; only
-    a matrix it rejects reaches SuperLU.  Each path makes one refinement
+    a matrix it rejects reaches SuperLU, as a CSC copy.  Each path makes one refinement
     pass, which recovers digits lost to the conditioning of the stiffest
     (bending / small-eps) blocks."""
     x = problem.solve(H, rhs)
     if x is None:
-        x = _superlu_solve(H, rhs)
+        x = _superlu_solve(H.tocsc(), rhs)
     if x is None or not np.all(np.isfinite(x)):
         return None
     return x

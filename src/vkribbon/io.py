@@ -18,6 +18,7 @@ from .plate import PlateState
 from .ribbon import RibbonState
 
 SNAPSHOT_MAGIC = "vkribbon-snapshot 1"
+SNAPSHOT_FIELDS = {"ribbon": ("xi1", "xi2", "w", "theta"), "plate": ("y1", "y2", "w")}
 
 
 def atomic_write(path, text: str) -> None:
@@ -82,7 +83,7 @@ def save_ribbon_state(path, state: RibbonState) -> None:
         f"n {state.mesh.n}",
         "kinds xi1:P1 xi2:Hermite3 w:Hermite3 theta:P1",
     ]
-    for name in ("xi1", "xi2", "w", "theta"):
+    for name in SNAPSHOT_FIELDS["ribbon"]:
         lines += _array_lines(name, getattr(state, name))
     atomic_write(path, "\n".join(lines) + "\n")
 
@@ -97,7 +98,7 @@ def save_plate_state(path, state: PlateState) -> None:
         f"eps {_fmt(state.eps)}",
         "kinds y1:Bilinear y2:Bilinear w:BFS",
     ]
-    for name in ("y1", "y2", "w"):
+    for name in SNAPSHOT_FIELDS["plate"]:
         lines += _array_lines(name, getattr(state, name))
     atomic_write(path, "\n".join(lines) + "\n")
 
@@ -124,7 +125,10 @@ def load_snapshot(path, bc=None):
             continue
         if parts[0] == "field":
             name, size = parts[1], int(parts[2])
-            vals = np.array([float(v) for v in lines[i + 1].split()])
+            try:
+                vals = np.array([float(v) for v in lines[i + 1].split()])
+            except (IndexError, ValueError):
+                raise ValueError(f"{path}: field {name} has no values line") from None
             if vals.size != size:
                 raise ValueError(f"{path}: field {name} has {vals.size} values, expected {size}")
             fields[name] = vals
@@ -133,15 +137,17 @@ def load_snapshot(path, bc=None):
             header[parts[0]] = " ".join(parts[1:])
             i += 1
     kind = header.get("kind")
+    names = SNAPSHOT_FIELDS.get(kind)
+    if names is None:
+        raise ValueError(f"{path}: unknown snapshot kind {kind!r}")
+    missing = [name for name in names if name not in fields]
+    if missing:
+        raise ValueError(f"{path}: {kind} snapshot lacks field {', '.join(missing)}")
     if kind == "ribbon":
         mesh = Mesh1D(l=float(header["l"]), n=int(header["n"]))
-        return RibbonState(mesh, bc, fields["xi1"], fields["xi2"], fields["w"], fields["theta"])
-    if kind == "plate":
-        mesh = Mesh2D(l=float(header["l"]), nx=int(header["nx"]), ny=int(header["ny"]))
-        return PlateState(
-            mesh, float(header["eps"]), bc, fields["y1"], fields["y2"], fields["w"]
-        )
-    raise ValueError(f"{path}: unknown snapshot kind {kind!r}")
+        return RibbonState(mesh, bc, *(fields[name] for name in names))
+    mesh = Mesh2D(l=float(header["l"]), nx=int(header["nx"]), ny=int(header["ny"]))
+    return PlateState(mesh, float(header["eps"]), bc, *(fields[name] for name in names))
 
 
 # ---------------------------------------------------------------------------

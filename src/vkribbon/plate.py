@@ -38,6 +38,11 @@ from .forms import MaterialPair
 from .ribbon import RibbonForces, RibbonState, RibbonSystem
 
 BEND_FACTOR = 1.0 / 12.0
+# the strain s = (mu, h) is rows 0-2 and 5-7 plus (g1^2, g1 g2, g2^2) / 2 on the
+# membrane slots, so a Hessian density beyond C on those rows couples the
+# gradient rows g = rows 3-4 with the membrane rows and with each other
+LINEAR_ROWS = [0, 1, 2, 5, 6, 7]
+ROW_PAIRS = [(3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2), (3, 3), (4, 3), (4, 4)]
 
 
 @dataclass
@@ -125,7 +130,7 @@ class PlateSystem(FieldSystem):
         gradient g (E, nq, 2); the rows are (E11, E12, E22, g1, g2, h11, h12, h22)."""
         R = self._tables.evaluate(u)
         g = R[..., 3:5]
-        s = R[..., [0, 1, 2, 5, 6, 7]]
+        s = R[..., LINEAR_ROWS]
         s[..., :3] += 0.5 * g[..., [0, 0, 1]] * g[..., [0, 1, 1]]
         return s, g
 
@@ -151,26 +156,22 @@ class PlateSystem(FieldSystem):
         return np.concatenate([sig[..., :3], dg, sig[..., 3:]], axis=-1)
 
     def _hessian_density(self, ch, sig, C):
+        """Density on the row pairs (g_a, E_b) and (g_a, g_b) of ROW_PAIRS."""
         g1, g2 = ch[1][..., 0], ch[1][..., 1]
         # dmu/dg of mu = E + (g1^2, g1 g2, g2^2) / 2, and C dmu/dg in one product
         z = np.zeros_like(g1)
         dm = np.stack([np.stack([g1, 0.5 * g2, z], -1), np.stack([z, 0.5 * g1, g2], -1)], -2)
         v = (dm.reshape(-1, 3) @ C[:3, :3]).reshape(dm.shape)
-        g1_, g2_ = g1[..., None], g2[..., None]
+        # dmu/dg^T C dmu/dg plus the geometric stiffness of the quadratic membrane map
         gg = np.stack(
-            [g1_ * v[..., 0] + 0.5 * g2_ * v[..., 1], 0.5 * g1_ * v[..., 1] + g2_ * v[..., 2]],
-            axis=-2,
+            [
+                g1 * v[..., 0, 0] + 0.5 * g2 * v[..., 0, 1] + sig[..., 0],
+                g1 * v[..., 1, 0] + 0.5 * g2 * v[..., 1, 1] + 0.5 * sig[..., 1],
+                0.5 * g1 * v[..., 1, 1] + g2 * v[..., 1, 2] + sig[..., 2],
+            ],
+            axis=-1,
         )
-        # geometric stiffness from the quadratic membrane map
-        gg += sig[..., [0, 1, 1, 2]].reshape(gg.shape) * [[1.0, 0.5], [0.5, 1.0]]
-        # the constant blocks: membrane-membrane and bending-bending rows
-        dens = np.zeros((8, 8))
-        dens[:3, :3], dens[5:, 5:] = C[:3, :3], C[3:, 3:]
-        dens = np.broadcast_to(dens, g1.shape + (8, 8)).copy()
-        dens[..., 3:5, :3] = v
-        dens[..., :3, 3:5] = np.swapaxes(v, -1, -2)
-        dens[..., 3:5, 3:5] = gg
-        return dens
+        return np.concatenate([v.reshape(g1.shape + (6,)), gg], axis=-1)
 
     def _element_tables(self) -> ElementTables:
         """Element DOFs (y1 | y2 | w) and reference rows: the linear strain
@@ -192,7 +193,9 @@ class PlateSystem(FieldSystem):
             rows[:, 3 + i, 8:] = self.bfs.ref_basis(sx, sy, dx, dy) / eps**dy
         coupling = np.ones((8, 8), dtype=bool)
         coupling[:3, 5:] = coupling[5:, :3] = False
-        return ElementTables(dofs, rows, q.by_element(self.wq)[0], coupling, self.n_dofs)
+        return ElementTables(
+            dofs, rows, q.by_element(self.wq)[0], coupling, self.n_dofs, LINEAR_ROWS, ROW_PAIRS
+        )
 
     # -- projection onto ribbon variables -----------------------------------------
 

@@ -40,6 +40,10 @@ from .fem import (
 from .forms import MaterialPair
 
 BEND_FACTOR = 1.0 / 12.0  # transverse second moment of the unit-width strip
+# the strain (a, m, kappa, t) is rows 0, 1, 3, 4 plus w'^2 / 2 on a, so a Hessian
+# density beyond the channel form on those rows couples w' with xi1' and itself
+LINEAR_ROWS = [0, 1, 3, 4]
+ROW_PAIRS = [(2, 0), (2, 2)]
 
 
 @dataclass(frozen=True)
@@ -187,7 +191,7 @@ class RibbonSystem(FieldSystem):
         the rows are (xi1', xi2'', w', w'', theta')."""
         R = self._tables.evaluate(u)
         wprime = R[..., 2]
-        s = R[..., [0, 1, 3, 4]]
+        s = R[..., LINEAR_ROWS]
         s[..., 0] += 0.5 * wprime**2
         return s, wprime
 
@@ -237,15 +241,10 @@ class RibbonSystem(FieldSystem):
         )
 
     def _hessian_density(self, ch, sig, C):
-        wp = ch[1]
-        dens = np.zeros(wp.shape + (5, 5))
-        dens[..., 0, 0] = C[0, 0]
-        dens[..., 0, 2] = dens[..., 2, 0] = C[0, 0] * wp
+        """Density on the row pairs (w', xi1') and (w', w') of ROW_PAIRS."""
+        cwp = C[0, 0] * ch[1]
         # the geometric term of the w-block carries the membrane stress
-        dens[..., 2, 2] = C[0, 0] * wp**2 + sig[..., 0]
-        dens[..., 1, 1] = C[1, 1]
-        dens[..., 3:, 3:] = C[2:, 2:]
-        return dens
+        return np.stack([cwp, cwp * ch[1] + sig[..., 0]], axis=-1)
 
     def _element_tables(self) -> ElementTables:
         """Element DOFs (xi1 | xi2 | w | theta) and reference rows xi1',
@@ -263,7 +262,9 @@ class RibbonSystem(FieldSystem):
         rows[:, 2, 6:10] = self.h3.ref_basis(s, 1)
         coupling = np.eye(5, dtype=bool)
         coupling[0, 2] = coupling[2, 0] = coupling[3, 4] = coupling[4, 3] = True
-        return ElementTables(dofs, rows, q.by_element(self.wq)[0], coupling, self.n_dofs)
+        return ElementTables(
+            dofs, rows, q.by_element(self.wq)[0], coupling, self.n_dofs, LINEAR_ROWS, ROW_PAIRS
+        )
 
     # -- local slope ----------------------------------------------------------
 
@@ -320,7 +321,7 @@ class RibbonSystem(FieldSystem):
             self.wq, np.einsum("qi,qi->q", r_m, r_m)
         )
         representation = float(np.sqrt(max(rep_sq, 0.0)))
-        resid = K @ hstar - g
+        resid = K.tocsc() @ hstar - g
         orto = float(np.abs(resid).max()) if resid.size else 0.0
         if not (
             abs(representation - value) <= 1e-10 * max(value, 1.0)

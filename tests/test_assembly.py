@@ -71,13 +71,13 @@ class TestIncrementalHessian:
         fd = (
             incremental_gradient(s, anchor, u + h * d) - incremental_gradient(s, anchor, u - h * d)
         ) / (2 * h)
-        hv = s.incremental(anchor, TAU).hessian(u) @ d[s.free]
+        hv = s.incremental(anchor, TAU).hessian(u).tocsc() @ d[s.free]
         assert np.linalg.norm(hv - fd) <= 2e-6 * np.linalg.norm(hv)
 
     def test_symmetric(self, name):
         s = SYSTEMS[name]()
         rng = np.random.default_rng(62)
-        H = s.incremental(random_state(s, rng), TAU).hessian(random_state(s, rng))
+        H = s.incremental(random_state(s, rng), TAU).hessian(random_state(s, rng)).tocsc()
         assert abs(H - H.T).max() <= 1e-13 * abs(H).max()
 
     def test_fused_equals_sum_of_parts(self, name):
@@ -86,14 +86,14 @@ class TestIncrementalHessian:
         anchor, u = random_state(s, rng), random_state(s, rng)
         parts = (s.hess_energy(u) + s.hess_halfsqdist(anchor, u) / TAU).tocsr()
         parts_ff = parts[s.free][:, s.free]
-        fused = s.incremental(anchor, TAU).hessian(u)
+        fused = s.incremental(anchor, TAU).hessian(u).tocsc()
         assert abs(fused - parts_ff).max() <= 1e-13 * abs(parts_ff).max()
         # the full-size wrappers vanish on constrained rows and columns
         assert parts[s.bc_mask].nnz == 0 and parts[:, s.bc_mask].nnz == 0
 
     def test_csc_for_superlu(self, name):
         s = SYSTEMS[name]()
-        H = s.incremental(s.zero_state(), TAU).hessian(s.zero_state())
+        H = s.incremental(s.zero_state(), TAU).hessian(s.zero_state()).tocsc()
         assert H.format == "csc" and H.has_canonical_format
         assert H.shape == (int(s.free.sum()),) * 2
 
@@ -105,11 +105,77 @@ class TestIncrementalHessian:
         problem = s.incremental(anchor, TAU)
         H = problem.hessian(u)
         b = rng.standard_normal(H.shape[0])
-        ref = spla.spsolve(H, b)
+        ref = spla.spsolve(H.tocsc(), b)
         x = problem.solve(H, b)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
         # the RCM order makes the pattern a band narrower than the matrix
         assert s._plan.bandwidth < H.shape[0] // 2
+
+
+def full_density(s, anchor, u, cw, cr):
+    """The weighted (E, nq, r, r) Hessian density of cw * phi + cr * D^2(anchor, .)/2
+    from the channels' Jacobian J = ds/drows and their second derivatives D2:
+    J^T C J + sum_k sig_k D2_k, with every row pair written out."""
+    R = s._tables.evaluate(u)
+    Ra = s._tables.evaluate(anchor)
+    if isinstance(s, RibbonSystem):
+        J = np.zeros(R.shape[:2] + (4, 5))
+        J[..., [0, 1, 2, 3], [0, 1, 3, 4]] = 1.0
+        J[..., 0, 2] = R[..., 2]
+        D2 = np.zeros((4, 5, 5))
+        D2[0, 2, 2] = 1.0
+
+        def strain(R):
+            return np.stack([R[..., 0] + 0.5 * R[..., 2] ** 2, R[..., 1], R[..., 3], R[..., 4]], -1)
+
+    else:
+        g1, g2 = R[..., 3], R[..., 4]
+        J = np.zeros(R.shape[:2] + (6, 8))
+        J[..., [0, 1, 2, 3, 4, 5], [0, 1, 2, 5, 6, 7]] = 1.0
+        J[..., 0, 3], J[..., 1, 3], J[..., 1, 4], J[..., 2, 4] = g1, 0.5 * g2, 0.5 * g1, g2
+        D2 = np.zeros((6, 8, 8))
+        D2[0, 3, 3] = D2[2, 4, 4] = 1.0
+        D2[1, 3, 4] = D2[1, 4, 3] = 0.5
+
+        def strain(R):
+            g1, g2 = R[..., 3], R[..., 4]
+            mu = [R[..., 0] + 0.5 * g1**2, R[..., 1] + 0.5 * g1 * g2, R[..., 2] + 0.5 * g2**2]
+            return np.stack(mu + [R[..., 5], R[..., 6], R[..., 7]], -1)
+
+    su = strain(R)
+    sig = cw * su @ s.QW + cr * (su - strain(Ra)) @ s.QR
+    C = cw * s.QW + cr * s.QR
+    dens = np.einsum("eqki,kl,eqlj->eqij", J, C, J) + np.einsum("eqk,kij->eqij", sig, D2)
+    return dens * s._tables.weights[:, None, None]
+
+
+def reference_hessian(s, dens):
+    """Free-DOF block of sum_e sum_q rows_q^T dens[e, q] rows_q: the element
+    product of the CSC assembly, added densely."""
+    t = s._tables
+    K = t.flat_t @ (dens @ t.rows).reshape(len(dens), -1, t.rows.shape[-1])
+    full = np.zeros((s.n_dofs, s.n_dofs))
+    np.add.at(full, (t.dofs[:, :, None], t.dofs[:, None, :]), K)
+    return full[np.ix_(s.free, s.free)]
+
+
+@pytest.mark.parametrize("name", list(SYSTEMS))
+def test_band_hessian_matches_full_density_reference(name):
+    s = SYSTEMS[name]()
+    rng = np.random.default_rng(68)
+    anchor, u = random_state(s, rng), random_state(s, rng)
+    free = s.free
+    cases = [
+        (s.incremental(anchor, TAU).hessian(u).tocsc(), anchor, 1.0, 1.0 / TAU),
+        (s.hess_energy(u)[free][:, free], anchor, 1.0, 0.0),
+        (s.hess_halfsqdist(anchor, u)[free][:, free], anchor, 0.0, 1.0),
+    ]
+    if isinstance(s, RibbonSystem):
+        # the slope metric of local_slope
+        cases.append((s.metric_tensor(u)[free][:, free], u, 0.0, 1.0))
+    for H, a, cw, cr in cases:
+        ref = reference_hessian(s, full_density(s, a, u, cw, cr))
+        assert np.abs(H.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def sampled_rows(s):
@@ -183,11 +249,10 @@ def test_diagnostics_build_no_sampling_matrix(monkeypatch):
 
 
 def shifted_diagonal(H, sigma):
-    """H - sigma I on the same pattern."""
-    Hs = H.copy()
-    cols = np.repeat(np.arange(H.shape[1]), np.diff(H.indptr))
-    Hs.data[H.indices == cols] -= sigma
-    return Hs
+    """H - sigma I in the same band storage."""
+    band = H.band.copy()
+    band[:, 0] -= sigma
+    return fem.BandMatrix(H.plan, band)
 
 
 @pytest.mark.parametrize("name", ["plate eps=0.05", "ribbon"])
@@ -198,7 +263,7 @@ def test_indefinite_hessian_takes_superlu_path(name, monkeypatch):
     H = s.incremental(u0, TAU).hessian(u0)
     # positive diagonal, negative eigenvalues: only pbtrf can reject it
     sigma = 0.3 * H.diagonal().min()
-    assert np.linalg.eigvalsh(shifted_diagonal(H, sigma).toarray())[0] < 0.0
+    assert np.linalg.eigvalsh(shifted_diagonal(H, sigma).tocsc().toarray())[0] < 0.0
     assert s._plan.solve(shifted_diagonal(H, sigma), np.ones(H.shape[0])) is None
 
     lu_calls, directions = [], []
@@ -269,7 +334,7 @@ def test_plate_pattern_is_element_connectivity():
     fields = ["y"] * 8 + ["w"] * 16
     coupled = {("y", "y"), ("y", "w"), ("w", "y"), ("w", "w")}
     expect = connectivity(s, elements, fields, coupled)
-    H = s.incremental(s.zero_state(), TAU).hessian(s.zero_state())
+    H = s.incremental(s.zero_state(), TAU).hessian(s.zero_state()).tocsc()
     assert stored_pairs(H) == expect
 
 
@@ -291,15 +356,21 @@ def test_ribbon_pattern_is_coupled_element_connectivity():
     coupled = {("xi1", "xi1"), ("xi1", "w"), ("xi2", "xi2"), ("w", "w"), ("w", "theta")}
     coupled |= {(b, a) for a, b in coupled} | {("theta", "theta")}
     expect = connectivity(s, elements, fields, coupled)
-    H = s.incremental(s.zero_state(), TAU).hessian(s.zero_state())
+    H = s.incremental(s.zero_state(), TAU).hessian(s.zero_state()).tocsc()
     assert stored_pairs(H) == expect
 
 
 def test_no_plan_without_a_hessian(monkeypatch):
-    orderings = []
+    orderings, constants = [], []
     rcm = fem.reverse_cuthill_mckee
     monkeypatch.setattr(
         fem, "reverse_cuthill_mckee", lambda *a, **k: orderings.append(1) or rcm(*a, **k)
+    )
+    constant_block = fem.ElementAssembly.constant_block
+    monkeypatch.setattr(
+        fem.ElementAssembly,
+        "constant_block",
+        lambda self, Q: constants.append(1) or constant_block(self, Q),
     )
     mat = MaterialPair.isotropic(1.0, 0.0, 1.0, 0.0)
     r = RibbonSystem(Mesh1D(l=1.0, n=12), mat, forces=FORCES)
@@ -308,15 +379,17 @@ def test_no_plan_without_a_hessian(monkeypatch):
     p = PlateSystem(Mesh2D(l=1.0, nx=12, ny=4), 0.1, mat, forces=FORCES)
     u = build_recovery(p, RecoveryInputs(r.state(v)))
     p.energy(u), p.sqdist(u, u), p.grad_energy(u), p.grad_halfsqdist(u, u)
-    assert r._plan is None and p._plan is None and not orderings
+    assert r._plan is None and p._plan is None and not orderings and not constants
     r.incremental(v, TAU).hessian(v)
     p.incremental(u, TAU).hessian(u)
     assert r._plan is not None and p._plan is not None
-    # one band layout per system, whatever is assembled or solved afterwards
+    # one band layout and one pair of constant element blocks (QW, QR) per
+    # system, whatever is assembled or solved afterwards
+    assert len(orderings) == 2 and len(constants) == 4
     flow.run_trajectory(r, v, TAU, 2 * TAU, slope_fn=r.local_slope)
     flow.run_trajectory(p, u, TAU, 2 * TAU)
-    r.hess_energy(v), p.hess_halfsqdist(u, u)
-    assert len(orderings) == 2
+    r.hess_energy(v), p.hess_halfsqdist(u, u), r.local_slope(v)
+    assert len(orderings) == 2 and len(constants) == 4
 
 
 def coo_sample_matrix(vals, cols, n_dofs):

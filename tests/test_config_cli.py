@@ -127,6 +127,28 @@ class TestSnapshots:
         assert back.eps == 0.125
         assert np.array_equal(back.vector, u)
 
+    def ribbon_snapshot_lines(self, tmp_path):
+        s = RibbonSystem(Mesh1D(l=1.0, n=4), MaterialPair.isotropic(1, 0, 1, 0))
+        path = tmp_path / "state.snap"
+        save_ribbon_state(path, s.state(s.zero_state()))
+        return path, path.read_text().splitlines()
+
+    def test_missing_field_names_path_and_field(self, tmp_path):
+        path, lines = self.ribbon_snapshot_lines(tmp_path)
+        at = lines.index(next(ln for ln in lines if ln.startswith("field xi2 ")))
+        path.write_text("\n".join(lines[:at] + lines[at + 2 :]) + "\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*lacks field xi2"):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize("cut", ["last", "middle"])
+    def test_field_without_values_names_path_and_field(self, tmp_path, cut):
+        path, lines = self.ribbon_snapshot_lines(tmp_path)
+        name = "theta" if cut == "last" else "xi2"
+        at = lines.index(next(ln for ln in lines if ln.startswith(f"field {name} ")))
+        path.write_text("\n".join(lines[: at + 1] + lines[at + 2 :]) + "\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: field {name} has no values"):
+            load_snapshot(path)
+
 
 class TestCli:
     def test_unknown_subcommand(self, capsys):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from vkribbon.fem import BoundaryData, Mesh1D, Mesh2D
+from vkribbon.fem import BoundaryData, IncrementalProblem, Mesh1D, Mesh2D
 from vkribbon.flow import SolverOptions, incremental_step
 from vkribbon.forms import MaterialPair
 from vkribbon.plate import PlateSystem
@@ -88,7 +88,7 @@ class TestAgainstPublicMethods:
             fresh = s.incremental(kept, TAU)
             assert p.parts(v) == fresh.parts(v)
             assert np.array_equal(p.grad(v), fresh.grad(v))
-            assert abs(p.hessian(v) - fresh.hessian(v)).max() == 0.0
+            assert abs(p.hessian(v).tocsc() - fresh.hessian(v).tocsc()).max() == 0.0
 
         for v in (anchor, v1, v2, v1):
             check(v)
@@ -149,6 +149,28 @@ def test_stepper_asks_only_for_the_incremental_problem(build):
         assert len(seen) == len(set(seen)) > rep.newton_iters
     assert iters > 3
     assert spy.asked == {"incremental", "free"}
+
+
+@pytest.mark.parametrize("build", [nonlinear_ribbon, nonlinear_plate])
+def test_each_valued_point_reduces_its_forms_once(build, monkeypatch):
+    system, u = build()
+    forms, valued = [], []
+    form = system._form
+    monkeypatch.setattr(system, "_form", lambda s, Q: forms.append(1) or form(s, Q))
+    parts = IncrementalProblem.parts
+
+    def recorded(self, v):
+        valued.append(v.tobytes())
+        return parts(self, v)
+
+    monkeypatch.setattr(IncrementalProblem, "parts", recorded)
+    for n in range(3):
+        forms.clear(), valued.clear()
+        u, rep = incremental_step(system, TAU, u, SolverOptions(tol=1e-9), step_index=n)
+        # phi and D^2 once per point whose value is asked for: the warm
+        # start and the trial points, the accepted one not again at the end
+        assert rep.newton_iters > 0 and len(valued) > len(set(valued))
+        assert len(forms) == 2 * len(set(valued))
 
 
 @pytest.mark.parametrize("name", list(SYSTEMS))
