@@ -419,11 +419,6 @@ class Q1Space:
             axis=-1,
         )
 
-    def lateral_dofs(self):
-        m = self.mesh
-        j = np.arange(m.ny + 1)
-        return np.concatenate([m.node_index(0, j), m.node_index(m.nx, j)])
-
     def interpolate(self, f) -> np.ndarray:
         x, y = self.mesh.node_coords()
         return np.asarray(f(x, y), dtype=float)
@@ -461,12 +456,6 @@ class BFSSpace:
             vy, sy_ = by[..., 2 * iy], by[..., 2 * iy + 1]
             out.extend([vx * vy, sx_ * vy, vx * sy_, sx_ * sy_])
         return np.stack(out, axis=-1)
-
-    def lateral_dofs(self):
-        m = self.mesh
-        j = np.arange(m.ny + 1)
-        nodes = np.concatenate([m.node_index(0, j), m.node_index(m.nx, j)])
-        return (4 * nodes[:, None] + np.arange(4)[None, :]).ravel()
 
     def interpolate(self, f, fx, fy, fxy) -> np.ndarray:
         x, y = self.mesh.node_coords()

@@ -29,10 +29,11 @@ def _symmetrize(mat: np.ndarray) -> np.ndarray:
 
 
 def _require_spd(mat: np.ndarray, name: str) -> None:
-    if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(mat).max())):
+    """Both thresholds are relative to the matrix's size, so units do not matter."""
+    if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12 * np.abs(mat).max()):
         raise MaterialError(f"{name}: coefficient matrix must be symmetric")
     eigs = np.linalg.eigvalsh(_symmetrize(mat))
-    if eigs[0] <= 1e-12 * max(eigs[-1], 1.0):
+    if eigs[0] <= 1e-12 * np.abs(eigs).max():
         raise MaterialError(f"{name}: not positive definite (eigenvalues {eigs})")
 
 

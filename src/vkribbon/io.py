@@ -124,7 +124,11 @@ def load_snapshot(path, bc=None):
             i += 1
             continue
         if parts[0] == "field":
-            name, size = parts[1], int(parts[2])
+            name = parts[1]
+            try:
+                size = int(parts[2])
+            except (IndexError, ValueError):
+                raise ValueError(f"{path}: field {name} has no integer size") from None
             try:
                 vals = np.array([float(v) for v in lines[i + 1].split()])
             except (IndexError, ValueError):
@@ -143,11 +147,20 @@ def load_snapshot(path, bc=None):
     missing = [name for name in names if name not in fields]
     if missing:
         raise ValueError(f"{path}: {kind} snapshot lacks field {', '.join(missing)}")
+
+    def number(key, convert):
+        try:
+            return convert(header[key])
+        except KeyError:
+            raise ValueError(f"{path}: {kind} snapshot lacks header line {key!r}") from None
+        except ValueError:
+            raise ValueError(f"{path}: header {key!r} is not {convert.__name__}") from None
+
+    values = (fields[name] for name in names)
     if kind == "ribbon":
-        mesh = Mesh1D(l=float(header["l"]), n=int(header["n"]))
-        return RibbonState(mesh, bc, *(fields[name] for name in names))
-    mesh = Mesh2D(l=float(header["l"]), nx=int(header["nx"]), ny=int(header["ny"]))
-    return PlateState(mesh, float(header["eps"]), bc, *(fields[name] for name in names))
+        return RibbonState(Mesh1D(l=number("l", float), n=number("n", int)), bc, *values)
+    mesh = Mesh2D(l=number("l", float), nx=number("nx", int), ny=number("ny", int))
+    return PlateState(mesh, number("eps", float), bc, *values)
 
 
 # ---------------------------------------------------------------------------

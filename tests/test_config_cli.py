@@ -149,6 +149,19 @@ class TestSnapshots:
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: field {name} has no values"):
             load_snapshot(path)
 
+    def test_missing_header_names_path_and_key(self, tmp_path):
+        path, lines = self.ribbon_snapshot_lines(tmp_path)
+        path.write_text("\n".join(ln for ln in lines if not ln.startswith("n ")) + "\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*lacks header line 'n'"):
+            load_snapshot(path)
+
+    def test_non_integer_field_size_names_path_and_field(self, tmp_path):
+        path, lines = self.ribbon_snapshot_lines(tmp_path)
+        lines = ["field w five" if ln.startswith("field w ") else ln for ln in lines]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: field w has no integer size"):
+            load_snapshot(path)
+
 
 class TestCli:
     def test_unknown_subcommand(self, capsys):

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 from vkribbon.fem import Mesh1D
@@ -41,6 +43,17 @@ class OneDof:
             hessian=lambda v: sp.csc_matrix([[1.0 + 1.0 / tau]]),
             solve=lambda H, b: b / H[0, 0],
         )
+
+
+class Kinked(OneDof):
+    """OneDof with 10 |v - a| added to Phi's value but not to its gradient,
+    so no step along the Newton direction lowers Phi."""
+
+    def incremental(self, a, tau):
+        problem = super().incremental(a, tau)
+        smooth = problem.value
+        problem.value = lambda v: smooth(v) + 10.0 * abs(float(v[0] - a[0]))
+        return problem
 
 
 def hermite_beam_stiffness(n, l):
@@ -202,3 +215,62 @@ class TestFailureModes:
         with pytest.raises(StepFailure) as err:
             run_trajectory(s, u0, 0.05, 0.2, opts)
         assert err.value.step_index == 1
+
+    def test_failed_line_search_reported_with_step_index(self):
+        with pytest.raises(StepFailure, match="line search failed") as err:
+            run_trajectory(Kinked(), np.array([1.0]), 1.0, 2.0)
+        assert err.value.step_index == 1
+
+
+def forced_trajectory(mu_w, mu_r, load, tau, steps=5, n=32):
+    """A nonlinear forced ribbon flow: W, R and the load f set by their scales."""
+    mat = MaterialPair.isotropic(mu_w, 0.4 * mu_w, mu_r, 0.2 * mu_r)
+    forces = RibbonForces.from_coeffs(f=(load, 0.5 * load))
+    s = RibbonSystem(Mesh1D(l=1.0, n=n), mat, forces=forces)
+    u0 = s.interpolate((0.0,), (0.0,), 2.0 * BUMP, 4.0 * BUMP)
+    return np.array(run_trajectory(s, u0, tau, steps * tau).states)
+
+
+def relative_gap(states, reference):
+    return np.abs(states - reference).max() / np.abs(reference).max()
+
+
+class TestScaleInvariance:
+    """Phi scales by one factor under these rescalings, so the iterates,
+    the stopping rule included, must not move."""
+
+    TAU = 0.01
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return forced_trajectory(1.0, 1.0, 1.0, self.TAU)
+
+    @settings(max_examples=6, deadline=None)
+    @given(exponent=st.floats(-8.0, 8.0))
+    def test_material_scaling(self, reference, exponent):
+        lam = 10.0**exponent
+        states = forced_trajectory(lam, lam, lam, self.TAU)
+        assert relative_gap(states, reference) <= 1e-12
+
+    @settings(max_examples=6, deadline=None)
+    @given(exponent=st.floats(-8.0, 8.0))
+    def test_time_rescaling(self, reference, exponent):
+        lam = 10.0**exponent
+        states = forced_trajectory(lam, 1.0, lam, self.TAU / lam)
+        assert relative_gap(states, reference) <= 1e-12
+
+
+README_DATA = {
+    "readme_quick_start": ((0.0,), (0.0625, 0.0, -0.5, 0.0, 1.0), (0.0,), (0.0,)),
+    "acceptance": ((0.0,), (0.0,), 2.0 * BUMP, 4.0 * BUMP),
+}
+
+
+@pytest.mark.parametrize("datum", sorted(README_DATA))
+@pytest.mark.parametrize("n", [32, 64, 128, 256])
+def test_readme_defaults_run_on_every_mesh(n, datum):
+    # tau = 0.01 and tol = 1e-10 as in the README scenario, three steps
+    s = RibbonSystem(Mesh1D(l=1.0, n=n), MaterialPair.isotropic(1.0, 0.0, 1.0, 0.0))
+    u0 = s.interpolate(*README_DATA[datum])
+    traj = run_trajectory(s, u0, 0.01, 0.03, SolverOptions(tol=1e-10))
+    assert traj.n_steps == 3

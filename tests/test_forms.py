@@ -62,6 +62,18 @@ class TestIsotropic:
         with pytest.raises(MaterialError):
             make_isotropic(1.0, -1.5)
 
+    def test_tiny_moduli_accepted(self):
+        pair = MaterialPair.isotropic(1e-13, 0, 1e-13, 0)
+        assert pair.W0.C0 > 0.0
+
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+    def test_definiteness_is_unit_free(self, scale):
+        QuadForm2(scale * make_isotropic(1.0, 0.5).C)
+        # mu = 1, lambda = -1.5: eigenvalues -1, 2 and 4
+        indefinite = np.array([[0.5, 0.0, -1.5], [0.0, 4.0, 0.0], [-1.5, 0.0, 0.5]])
+        with pytest.raises(MaterialError, match="not positive definite"):
+            QuadForm2(scale * indefinite)
+
     def test_matches_displayed_formula_random(self):
         rng = np.random.default_rng(3)
         q = make_isotropic(1.3, 0.7)
