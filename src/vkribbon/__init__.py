@@ -32,6 +32,7 @@ _EXPORTS = {
         "scaled_operators_2d",
     ),
     "flow": (
+        "Chord",
         "DissipationLedger",
         "SolverOptions",
         "StepFailure",

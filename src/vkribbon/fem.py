@@ -23,7 +23,8 @@ element rows apart from a few quadratic terms, so the plan computes the
 element values of the channel forms on the linear rows once, and each
 Hessian adds the state-dependent rest with one matrix product over all
 elements and one bincount straight into LAPACK band storage, where the
-plan solves by banded Cholesky.  A space's sparse sampling matrix (rows =
+plan factors it by banded Cholesky into a solver that outlives the
+matrix.  A space's sparse sampling matrix (rows =
 quadrature points, columns = DOFs) builds the load vector, once per
 system.
 """
@@ -38,7 +39,6 @@ import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import Polynomial
 from scipy.linalg import cho_solve_banded, cholesky_banded
-from scipy.linalg.blas import dsbmv
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 
@@ -767,14 +767,14 @@ class ElementAssembly:
         band = np.bincount(self.slot, weights=values.ravel(), minlength=self.size + 1)
         return BandMatrix(self, band[:-1].reshape(self.n_free, -1))
 
-    def solve(self, H: BandMatrix, b: np.ndarray):
-        """H^{-1} b for a matrix from ``assemble``, or None when H is not
-        positive definite.
+    def factor(self, H: BandMatrix):
+        """Solver r -> H^{-1} r for a matrix from ``assemble``, or None when
+        H is not positive definite.
 
         Banded Cholesky (LAPACK ``pbtrf``) of H Jacobi-scaled to unit
-        diagonal, then one pass of iterative refinement with the band
-        product ``dsbmv``, all in the RCM order; a nonpositive diagonal
-        entry or a failed ``pbtrf`` is the indefiniteness test."""
+        diagonal, in the RCM order; a nonpositive diagonal entry or a failed
+        ``pbtrf`` is the indefiniteness test.  The solver keeps only the
+        Cholesky band and the scale vector, not H."""
         band, width = H.band, self.bandwidth + 1
         d = band[:, 0]
         if not np.all(d > 0.0):
@@ -788,16 +788,14 @@ class ElementAssembly:
             chol = cholesky_banded(scaled.T, overwrite_ab=True, lower=True, check_finite=False)
         except np.linalg.LinAlgError:
             return None
+        perm = self.perm
 
-        def band_solve(r: np.ndarray) -> np.ndarray:
-            return s * cho_solve_banded((chol, True), s * r, check_finite=False)
+        def solve(r: np.ndarray) -> np.ndarray:
+            x = np.empty(len(perm))
+            x[perm] = s * cho_solve_banded((chol, True), s * r[perm], check_finite=False)
+            return x
 
-        bp = b[self.perm]
-        x = band_solve(bp)
-        x += band_solve(bp - dsbmv(self.bandwidth, 1.0, band.T, x, lower=1))
-        out = np.empty(self.n_free)
-        out[self.perm] = x
-        return out
+        return solve
 
     def embed(self, K: sp.csc_matrix) -> sp.csc_matrix:
         """Full-size copy of a free-DOF matrix; constrained rows and columns are zero."""
@@ -980,10 +978,11 @@ class IncrementalProblem:
         ``tocsc()`` is the CSC matrix on the plan's fixed pattern."""
         return self.system._hessian(self._at(v), self._anchor, 1.0, self.cr)
 
-    def solve(self, H: BandMatrix, rhs: np.ndarray):
-        """H^{-1} rhs for a Hessian from ``hessian`` by banded Cholesky, or
-        None when H is not positive definite (ElementAssembly.solve)."""
-        return self.system._plan.solve(H, rhs)
+    def factor(self, H: BandMatrix):
+        """Solver r -> H^{-1} r for a Hessian from ``hessian`` by banded
+        Cholesky, or None when H is not positive definite
+        (ElementAssembly.factor)."""
+        return self.system._plan.factor(H)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,27 @@ lambda_1^2 being the first iteration's decrement, is nonzero on every
 non-stationary step and scales with Phi, so a rescaling that multiplies
 Phi by a constant (the moduli and loads together, or W and the loads by s
 with tau by 1/s) leaves the iterates unchanged.  Each Hessian goes
-straight into the band storage of its fixed pattern and is solved by
+straight into the band storage of its fixed pattern and is factored by
 banded Cholesky; one that is not positive definite (the membrane part can
 be indefinite far from minimizers) goes to SuperLU, and a direction that
 ascends falls back to scaled gradient descent, which never ends the
 iteration.  The accepted point obeys the one-step energy inequality
 phi(u_{n+1}) + D^2/(2 tau) <= phi(u_n) up to tol * scale.
+
+The Hessian barely changes from one iterate to the next, or from one step
+to the next, so the last Cholesky factor of a trajectory is lent to the
+iterations after it (the simplified Newton or chord method; Deuflhard,
+Newton Methods for Nonlinear Problems, 2004, ch. 2).  Each iteration first
+solves with the lent factor; its direction is taken while it contracts,
+i.e. after a full step and with a decrement at most CONTRACTION times the
+previous direction's (the first iteration of a step has no previous
+direction).  Otherwise the lent factor is dropped and a fresh Hessian is
+assembled and factored.  A lent decrement at or below tol * scale also
+takes the fresh path, so the stop test and the final unsearched step
+always use a fresh Hessian and keep Newton's quadratic final accuracy.
+Any positive definite factor gives a descent direction, and the Armijo
+search guards the rest; the held factor is only ever a banded Cholesky
+one, never SuperLU's.
 
 The anchor u_n is fixed for the whole step, so the stepper asks the
 system once for the incremental problem v -> Phi(tau, u_n; v) and works
@@ -50,11 +65,13 @@ class GradientSystem(Protocol):
     ``grad(v)``, the full-size DOF gradient with zero constrained entries,
     ``hessian(v)``, a symmetric matrix on the free DOFs with
     ``diagonal()`` and ``tocsc()`` (a scipy sparse matrix qualifies; the
-    field systems return their band storage), and ``solve(H, rhs)`` ->
-    H^{-1} rhs for such a matrix, or None when H is not positive definite
-    (the stepper then runs SuperLU on ``H.tocsc()``).  D^2 must be
-    symmetric, nonnegative and zero exactly on the diagonal; the gradients
-    must be consistent with finite differences of the values.
+    field systems return their band storage), and ``factor(H)``, a solver
+    r -> H^{-1} r for such a matrix, or None when H is not positive
+    definite (the stepper then runs SuperLU on ``H.tocsc()``).  The stepper
+    keeps the last solver and applies it to the gradients of later iterates
+    and later steps, so it must stay valid when H and the problem are gone.
+    D^2 must be symmetric, nonnegative and zero exactly on the diagonal; the
+    gradients must be consistent with finite differences of the values.
     """
 
     n_dofs: int
@@ -73,6 +90,9 @@ class StepFailure(RuntimeError):
 
 # Armijo halvings per line search before the step fails
 MAX_BACKTRACK = 40
+# a lent factor's direction is taken only while its decrement falls at least
+# this much from the previous direction's, after a full step
+CONTRACTION = 1.0 / 16.0
 
 
 @dataclass
@@ -95,6 +115,7 @@ class StepReport:
     used_fallback: bool = False
     slope: float = float("nan")
     scale: float = float("nan")  # |Phi(u_n)| + lambda_1^2 / 2, the step's unit of Phi
+    factorizations: int = 0  # fresh Hessians assembled and factored
 
 
 @dataclass
@@ -127,11 +148,13 @@ class Trajectory:
         return np.array([r.energy for r in self.reports])
 
     def ledger_rows(self):
-        """Rows (n, t, energy, step_dist, slope, phi_residual, newton_iters)."""
+        """Rows (n, t, energy, step_dist, slope, phi_residual, newton_iters,
+        factorizations)."""
         rows = []
         for n, r in enumerate(self.reports):
             rows.append(
-                (n, n * self.tau, r.energy, r.dist, r.slope, r.grad_norm, r.newton_iters)
+                (n, n * self.tau, r.energy, r.dist, r.slope, r.grad_norm)
+                + (r.newton_iters, r.factorizations)
             )
         return rows
 
@@ -155,19 +178,34 @@ def _superlu_solve(H: sp.csc_matrix, rhs: np.ndarray):
     return x * scale
 
 
-def _solve_spd(problem, H, rhs: np.ndarray) -> np.ndarray:
-    """Newton direction H^{-1} rhs, or None when no direct solve gives one.
+@dataclass
+class Chord:
+    """The banded Cholesky solver r -> H^{-1} r of a trajectory's last fresh
+    Hessian, lent to its next Newton iterations, across steps too; empty
+    until the first fresh Hessian and whenever Cholesky rejects one.
 
-    The problem's banded Cholesky solves when H is positive definite; only
-    a matrix it rejects reaches SuperLU, as a CSC copy.  Each path makes one refinement
-    pass, which recovers digits lost to the conditioning of the stiffest
-    (bending / small-eps) blocks."""
-    x = problem.solve(H, rhs)
-    if x is None:
-        x = _superlu_solve(H.tocsc(), rhs)
-    if x is None or not np.all(np.isfinite(x)):
-        return None
-    return x
+    ``run_trajectory`` makes one per trajectory, so a run does not depend
+    on what ran before it on the same system."""
+
+    solve: Callable[[np.ndarray], np.ndarray] | None = None
+
+
+def _fresh_direction(problem, u: np.ndarray, rhs: np.ndarray, chord: Chord):
+    """Newton direction H(u)^{-1} rhs from a fresh Hessian, or, when no
+    direct solve gives a descent direction, Jacobi-scaled steepest descent,
+    which keeps the trial step bounded; returns (direction, fallback used).
+
+    The held solver is dropped before the Hessian is assembled, so at most
+    one factor is alive.  H's banded Cholesky solver becomes the held one;
+    only a matrix Cholesky rejects reaches SuperLU, as a CSC copy, and its
+    LU is never held."""
+    chord.solve = None
+    H = problem.hessian(u)
+    solve = chord.solve = problem.factor(H)
+    d = solve(rhs) if solve is not None else _superlu_solve(H.tocsc(), rhs)
+    if d is not None and np.all(np.isfinite(d)) and float(np.dot(rhs, d)) >= 0.0:
+        return d, False
+    return rhs / np.maximum(np.abs(H.diagonal()), 1e-300), True
 
 
 def incremental_step(
@@ -176,11 +214,17 @@ def incremental_step(
     u_prev: np.ndarray,
     options: SolverOptions | None = None,
     step_index: int = 0,
+    *,
+    chord: Chord | None = None,
 ) -> tuple[np.ndarray, StepReport]:
-    """Solve one incremental minimization from the warm start u_prev."""
+    """Solve one incremental minimization from the warm start u_prev.
+
+    ``chord`` holds the solver lent by earlier iterations; the step starts
+    with none when it is not given, and leaves its last fresh one there."""
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     opts = options or SolverOptions()
+    chord = chord if chord is not None else Chord()
     problem = system.incremental(u_prev, tau)
     free = system.free
 
@@ -189,18 +233,28 @@ def incremental_step(
     phi_u = phi_prev
     scale = None
     used_fallback = False
+    # the previous direction's decrement and whether its full step was taken;
+    # the previous step's last direction ends in its unsearched full step
+    prev_decrement, full = np.inf, True
+    factorizations = 0
 
     g = problem.grad(u)
     iters = 0
     while True:
-        Hff = problem.hessian(u)
-        d_free = _solve_spd(problem, Hff, -g[free])
-        fallback = d_free is None or float(np.dot(g[free], d_free)) > 0.0
-        if fallback:
-            # Jacobi-scaled steepest descent keeps the trial step bounded
-            d_free = -g[free] / np.maximum(np.abs(Hff.diagonal()), 1e-300)
-            used_fallback = True
-        decrement = -float(np.dot(g[free], d_free))
+        rhs = -g[free]
+        d_free = chord.solve(rhs) if chord.solve is not None else None
+        if d_free is not None:
+            decrement = float(np.dot(rhs, d_free))
+            unit = scale if scale is not None else abs(phi_prev) + 0.5 * decrement
+            # the chord is taken while it contracts; the stop test is always fresh
+            if not (full and opts.tol * unit < decrement <= CONTRACTION * prev_decrement):
+                d_free = None
+        fallback = False
+        if d_free is None:
+            d_free, fallback = _fresh_direction(problem, u, rhs, chord)
+            factorizations += 1
+            used_fallback |= fallback
+            decrement = float(np.dot(rhs, d_free))
         if scale is None:
             # the step's unit of Phi: nonzero unless u_prev is stationary
             scale = abs(phi_prev) + 0.5 * decrement
@@ -237,6 +291,7 @@ def incremental_step(
         phi_u = phi_cand
         g = problem.grad(u)
         iters += 1
+        prev_decrement, full = decrement, alpha == 1.0
 
     # variational comparison with the warm start: the one-step inequality,
     # up to what the unsearched final step may change
@@ -254,6 +309,7 @@ def incremental_step(
         grad_norm=float(np.linalg.norm(g[free])),
         used_fallback=used_fallback,
         scale=scale,
+        factorizations=factorizations,
     )
     return u, report
 
@@ -287,8 +343,9 @@ def run_trajectory(
     )
     reports = [first]
     prev_energy = first.energy
+    chord = Chord()
     for n in range(1, n_steps + 1):
-        u_next, rep = incremental_step(system, tau, u, opts, step_index=n)
+        u_next, rep = incremental_step(system, tau, u, opts, step_index=n, chord=chord)
         if rep.energy > prev_energy + opts.tol * rep.scale:
             raise StepFailure(n, "energy sequence not monotone")
         if slope_fn is not None:

@@ -62,7 +62,16 @@ def write_ledger(path, trajectory) -> None:
     """Per-step ledger with the documented schema."""
     write_csv(
         path,
-        ["n", "t", "energy", "step_dist", "slope", "phi_residual", "newton_iters"],
+        [
+            "n",
+            "t",
+            "energy",
+            "step_dist",
+            "slope",
+            "phi_residual",
+            "newton_iters",
+            "factorizations",
+        ],
         trajectory.ledger_rows(),
     )
 

@@ -285,9 +285,10 @@ class RibbonSystem(FieldSystem):
         ch = self._channels(u)
         g = self._gradient(ch, ch, 1.0, 0.0)[self.free]
         K = self._hessian(ch, ch, 0.0, 1.0)
-        hstar = self._plan.solve(K, g)
-        if hstar is None:
+        solve = self._plan.factor(K)
+        if solve is None:
             raise FemError("metric tensor not positive definite at u")
+        hstar = solve(g)
         slope_sq = float(np.dot(g, hstar))
         value = float(np.sqrt(max(slope_sq, 0.0)))
         if not detailed:

@@ -106,7 +106,7 @@ class TestIncrementalHessian:
         H = problem.hessian(u)
         b = rng.standard_normal(H.shape[0])
         ref = spla.spsolve(H.tocsc(), b)
-        x = problem.solve(H, b)
+        x = problem.factor(H)(b)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
         # the RCM order makes the pattern a band narrower than the matrix
         assert s._plan.bandwidth < H.shape[0] // 2
@@ -264,21 +264,21 @@ def test_indefinite_hessian_takes_superlu_path(name, monkeypatch):
     # positive diagonal, negative eigenvalues: only pbtrf can reject it
     sigma = 0.3 * H.diagonal().min()
     assert np.linalg.eigvalsh(shifted_diagonal(H, sigma).tocsc().toarray())[0] < 0.0
-    assert s._plan.solve(shifted_diagonal(H, sigma), np.ones(H.shape[0])) is None
+    assert s._plan.factor(shifted_diagonal(H, sigma)) is None
 
     lu_calls, directions = [], []
     splu = flow.spla.splu
     monkeypatch.setattr(
         flow, "spla", SimpleNamespace(splu=lambda A: lu_calls.append(1) or splu(A))
     )
-    solve_spd = flow._solve_spd
+    fresh_direction = flow._fresh_direction
 
-    def recording_solve(problem, H, rhs):
-        d = solve_spd(problem, H, rhs)
+    def recording_direction(problem, u, rhs, chord):
+        d, fallback = fresh_direction(problem, u, rhs, chord)
         directions.append((rhs, d))
-        return d
+        return d, fallback
 
-    monkeypatch.setattr(flow, "_solve_spd", recording_solve)
+    monkeypatch.setattr(flow, "_fresh_direction", recording_direction)
     hessian = IncrementalProblem.hessian
     first = []
 

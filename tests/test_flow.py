@@ -1,5 +1,6 @@
 """Minimizing movements: closed-form steps, decay oracles, De Giorgi ledger."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
-from vkribbon.fem import Mesh1D
+from vkribbon import flow
+from vkribbon.fem import IncrementalProblem, Mesh1D, Mesh2D
 from vkribbon.flow import (
+    Chord,
     SolverOptions,
     StepFailure,
     dissipation_ledger,
@@ -18,9 +21,11 @@ from vkribbon.flow import (
     run_trajectory,
 )
 from vkribbon.forms import MaterialPair
+from vkribbon.plate import PlateSystem, RecoveryInputs, build_recovery
 from vkribbon.ribbon import RibbonForces, RibbonSystem
 
 BUMP = Polynomial.fromroots([-0.5, -0.5, 0.5, 0.5])
+PARABOLA = Polynomial([-0.25, 0.0, 1.0])
 
 
 class OneDof:
@@ -41,7 +46,7 @@ class OneDof:
             value=lambda v: parts(v)[0] + parts(v)[1] / (2 * tau),
             grad=lambda v: v + (v - a) / tau,
             hessian=lambda v: sp.csc_matrix([[1.0 + 1.0 / tau]]),
-            solve=lambda H, b: b / H[0, 0],
+            factor=lambda H: lambda b: b / H[0, 0],
         )
 
 
@@ -274,3 +279,99 @@ def test_readme_defaults_run_on_every_mesh(n, datum):
     u0 = s.interpolate(*README_DATA[datum])
     traj = run_trajectory(s, u0, 0.01, 0.03, SolverOptions(tol=1e-10))
     assert traj.n_steps == 3
+
+
+def chord_plate():
+    """The benchmark's plate at eps = 0.05 on a coarser mesh, started from
+    the recovery of a bent and twisted ribbon."""
+    mat = MaterialPair.isotropic(1.0, 0.0, 1.0, 0.0)
+    ribbon = RibbonSystem(Mesh1D(l=1.0, n=16), mat)
+    v0 = ribbon.interpolate(0.5 * PARABOLA, 0.3 * BUMP, 2.0 * BUMP, 4.0 * BUMP)
+    s = PlateSystem(Mesh2D(l=1.0, nx=16, ny=4), 0.05, mat)
+    return s, build_recovery(s, RecoveryInputs(ribbon.state(v0))), 0.02, SolverOptions(tol=1e-8)
+
+
+def chord_ribbon():
+    mat = MaterialPair.isotropic(1.0, 0.4, 1.0, 0.2)
+    s = RibbonSystem(Mesh1D(l=1.0, n=32), mat, forces=RibbonForces.from_coeffs(f=(1.0, 0.5)))
+    return s, s.interpolate((0.0,), (0.0,), 2.0 * BUMP, 4.0 * BUMP), 0.01, SolverOptions()
+
+
+CHORD_CASES = {"plate eps=0.05": chord_plate, "ribbon": chord_ribbon}
+
+
+def counted_trajectory(monkeypatch, build, steps, contraction=None):
+    """A trajectory and the number of fresh Hessians it asked for;
+    contraction 0 makes every Newton direction a fresh one."""
+    if contraction is not None:
+        monkeypatch.setattr(flow, "CONTRACTION", contraction)
+    s, u0, tau, opts = build()
+    hessians = []
+    hessian = IncrementalProblem.hessian
+    monkeypatch.setattr(
+        IncrementalProblem, "hessian", lambda self, v: hessians.append(1) or hessian(self, v)
+    )
+    traj = run_trajectory(s, u0, tau, steps * tau, opts)
+    monkeypatch.undo()
+    return traj, len(hessians)
+
+
+@pytest.mark.parametrize("name", list(CHORD_CASES))
+class TestChord:
+    def test_matches_fresh_newton(self, name, monkeypatch):
+        traj, _ = counted_trajectory(monkeypatch, CHORD_CASES[name], 10)
+        fresh, _ = counted_trajectory(monkeypatch, CHORD_CASES[name], 10, contraction=0.0)
+        assert len(traj.states) == len(fresh.states) == 11
+        assert relative_gap(np.array(traj.states), np.array(fresh.states)) <= 1e-10
+        assert all(r.factorizations == r.newton_iters for r in fresh.reports[1:])
+
+    def test_factorizations_count_fresh_hessians(self, name, monkeypatch):
+        traj, hessians = counted_trajectory(monkeypatch, CHORD_CASES[name], 10)
+        factorizations = sum(r.factorizations for r in traj.reports)
+        assert factorizations == hessians
+        assert factorizations < sum(r.newton_iters for r in traj.reports)
+
+    @pytest.mark.parametrize("lender", ["other tau", "far state"])
+    def test_poor_lent_factor(self, name, lender):
+        s, u0, tau, opts = CHORD_CASES[name]()
+        if lender == "other tau":
+            problem, at = s.incremental(u0, 100.0 * tau), u0
+        else:
+            far = u0.copy()
+            far[s.free] += 0.05 * np.random.default_rng(81).standard_normal(int(s.free.sum()))
+            problem, at = s.incremental(far, tau), far
+        chord = Chord(problem.factor(problem.hessian(at)))
+        assert chord.solve is not None
+        u1, rep = incremental_step(s, tau, u0, opts, chord=chord)
+        ref, _ = incremental_step(s, tau, u0, opts)
+        assert s.energy(u1) + s.sqdist(u0, u1) / (2 * tau) <= s.energy(u0) + opts.tol * rep.scale
+        assert relative_gap(u1, ref) <= 1e-10
+
+
+class Unlent(Chord):
+    """A holder that keeps nothing: a fresh factor on every Newton iteration
+    and none alive between them."""
+
+    @property
+    def solve(self):
+        return None
+
+    @solve.setter
+    def solve(self, value):
+        pass
+
+
+def test_lent_factor_costs_no_extra_band(monkeypatch):
+    """The lent factor is dropped before a fresh Hessian is assembled, so
+    lending adds less than one band to the peak of fresh Newton."""
+    s, u0, tau, opts = chord_plate()
+    s.incremental(u0, tau).hessian(u0)  # the plan, made once per system
+    peaks = []
+    for lender in (Chord, Unlent):
+        monkeypatch.setattr(flow, "Chord", lender)
+        tracemalloc.start()
+        run_trajectory(s, u0, tau, 5 * tau, opts)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    band = s._plan.n_free * (s._plan.bandwidth + 1) * 8
+    assert peaks[0] < peaks[1] + band

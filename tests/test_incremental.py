@@ -15,7 +15,7 @@ import pytest
 from numpy.polynomial import Polynomial
 
 from vkribbon.fem import BoundaryData, IncrementalProblem, Mesh1D, Mesh2D
-from vkribbon.flow import SolverOptions, incremental_step
+from vkribbon.flow import Chord, SolverOptions, incremental_step, run_trajectory
 from vkribbon.forms import MaterialPair
 from vkribbon.plate import PlateSystem
 from vkribbon.ribbon import RibbonForces, RibbonSystem
@@ -180,6 +180,11 @@ def test_no_reference_cycle_keeps_a_system_alive(name):
         s = SYSTEMS[name]()
         u = random_state(s, np.random.default_rng(76), amp=0.05)
         incremental_step(s, TAU, u, SolverOptions(tol=1e-8))
+        # a trajectory's reports and a lent factor outlive the system
+        chord = Chord()
+        incremental_step(s, TAU, u, SolverOptions(tol=1e-8), chord=chord)
+        traj = run_trajectory(s, u, TAU, 3 * TAU, SolverOptions(tol=1e-8))
+        assert chord.solve is not None and sum(r.factorizations for r in traj.reports) > 0
         s.hess_energy(u), s.grad_energy(u), s.energy(u)
         if isinstance(s, RibbonSystem):
             s.local_slope(u, detailed=True)
