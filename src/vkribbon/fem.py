@@ -23,10 +23,10 @@ element rows apart from a few quadratic terms, so the plan computes the
 element values of the channel forms on the linear rows once, and each
 Hessian adds the state-dependent rest with one matrix product over all
 elements and one bincount straight into LAPACK band storage, where the
-plan factors it by banded Cholesky into a solver that outlives the
-matrix.  A space's sparse sampling matrix (rows =
-quadrature points, columns = DOFs) builds the load vector, once per
-system.
+plan factors it by banded Cholesky, unscaled or with its diagonal raised
+by a given multiple of |diag H|, into a solver that outlives the matrix.
+A space's sparse sampling matrix (rows = quadrature points, columns =
+DOFs) builds the load vector, once per system.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import Polynomial
 from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.sparse.csgraph import reverse_cuthill_mckee
@@ -682,11 +681,6 @@ class BandMatrix:
         self.plan, self.band = plan, band
         self.shape = (plan.n_free, plan.n_free)
 
-    def diagonal(self) -> np.ndarray:
-        d = np.empty(self.shape[0])
-        d[self.plan.perm] = self.band[:, 0]
-        return d
-
     def tocsc(self) -> sp.csc_matrix:
         """CSC copy on the plan's pattern, in free-DOF order."""
         p = self.plan
@@ -767,32 +761,28 @@ class ElementAssembly:
         band = np.bincount(self.slot, weights=values.ravel(), minlength=self.size + 1)
         return BandMatrix(self, band[:-1].reshape(self.n_free, -1))
 
-    def factor(self, H: BandMatrix):
+    def factor(self, H: BandMatrix, shift: float = 0.0):
         """Solver r -> H^{-1} r for a matrix from ``assemble``, or None when
-        H is not positive definite.
+        H + shift |diag H| is not positive definite.
 
-        Banded Cholesky (LAPACK ``pbtrf``) of H Jacobi-scaled to unit
-        diagonal, in the RCM order; a nonpositive diagonal entry or a failed
-        ``pbtrf`` is the indefiniteness test.  The solver keeps only the
-        Cholesky band and the scale vector, not H."""
-        band, width = H.band, self.bandwidth + 1
-        d = band[:, 0]
-        if not np.all(d > 0.0):
+        Banded Cholesky (LAPACK ``pbtrf``) in the RCM order; a nonpositive
+        (or NaN) diagonal entry or a failed ``pbtrf`` is the indefiniteness
+        test.  The shift is in units of H's own diagonal, so it does not
+        depend on the units of H.  The solver keeps only the Cholesky band,
+        not H."""
+        band = H.band.copy()
+        band[:, 0] += shift * np.abs(band[:, 0])
+        if not np.all(band[:, 0] > 0.0):
             return None
-        s = 1.0 / np.sqrt(d)
-        # entry (c + o, c) scales by s[c + o] s[c]; rows past the end are zero padding
-        pad = np.concatenate([s, np.zeros(self.bandwidth)])
-        scaled = band * sliding_window_view(pad, width)
-        scaled *= s[:, None]
         try:
-            chol = cholesky_banded(scaled.T, overwrite_ab=True, lower=True, check_finite=False)
+            chol = cholesky_banded(band.T, overwrite_ab=True, lower=True, check_finite=False)
         except np.linalg.LinAlgError:
             return None
         perm = self.perm
 
         def solve(r: np.ndarray) -> np.ndarray:
             x = np.empty(len(perm))
-            x[perm] = s * cho_solve_banded((chol, True), s * r[perm], check_finite=False)
+            x[perm] = cho_solve_banded((chol, True), r[perm], check_finite=False)
             return x
 
         return solve
@@ -978,11 +968,11 @@ class IncrementalProblem:
         ``tocsc()`` is the CSC matrix on the plan's fixed pattern."""
         return self.system._hessian(self._at(v), self._anchor, 1.0, self.cr)
 
-    def factor(self, H: BandMatrix):
+    def factor(self, H: BandMatrix, shift: float = 0.0):
         """Solver r -> H^{-1} r for a Hessian from ``hessian`` by banded
-        Cholesky, or None when H is not positive definite
-        (ElementAssembly.factor)."""
-        return self.system._plan.factor(H)
+        Cholesky of H + shift |diag H|, or None when that is not positive
+        definite (ElementAssembly.factor)."""
+        return self.system._plan.factor(H, shift)
 
 
 # ---------------------------------------------------------------------------

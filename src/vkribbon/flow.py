@@ -14,10 +14,15 @@ non-stationary step and scales with Phi, so a rescaling that multiplies
 Phi by a constant (the moduli and loads together, or W and the loads by s
 with tau by 1/s) leaves the iterates unchanged.  Each Hessian goes
 straight into the band storage of its fixed pattern and is factored by
-banded Cholesky; one that is not positive definite (the membrane part can
-be indefinite far from minimizers) goes to SuperLU, and a direction that
-ascends falls back to scaled gradient descent, which never ends the
-iteration.  The accepted point obeys the one-step energy inequality
+banded Cholesky.  One that is not positive definite (the membrane part is
+indefinite under compression, and far from minimizers) is factored with
+its diagonal raised by the first shift of SHIFTS that makes it so, in
+units of |diag H| (Cholesky with added multiple of the identity; Nocedal &
+Wright, Numerical Optimization, 2nd ed., Alg. 3.3).  Any positive
+definite factor gives a descent direction, but only an unshifted one
+certifies a local minimizer, so a step ends only on a direction from an
+unshifted fresh factor (a second-order stop); a step no shift can factor
+fails.  The accepted point obeys the one-step energy inequality
 phi(u_{n+1}) + D^2/(2 tau) <= phi(u_n) up to tol * scale.
 
 The Hessian barely changes from one iterate to the next, or from one step
@@ -31,9 +36,8 @@ direction).  Otherwise the lent factor is dropped and a fresh Hessian is
 assembled and factored.  A lent decrement at or below tol * scale also
 takes the fresh path, so the stop test and the final unsearched step
 always use a fresh Hessian and keep Newton's quadratic final accuracy.
-Any positive definite factor gives a descent direction, and the Armijo
-search guards the rest; the held factor is only ever a banded Cholesky
-one, never SuperLU's.
+The held factor is the last fresh one, shifted or not; the Armijo search
+guards the rest.
 
 The anchor u_n is fixed for the whole step, so the stepper asks the
 system once for the incremental problem v -> Phi(tau, u_n; v) and works
@@ -50,8 +54,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.sparse.linalg as spla  # noqa: F401  (perfbench/layers.py traces it under this module)
 
 
 class GradientSystem(Protocol):
@@ -63,13 +66,12 @@ class GradientSystem(Protocol):
     Phi(v) = phi(v) + D^2(anchor, v) / (2 tau) of one step, with methods
     ``parts(v)`` -> (phi(v), D^2(anchor, v)), ``value(v)`` -> Phi(v),
     ``grad(v)``, the full-size DOF gradient with zero constrained entries,
-    ``hessian(v)``, a symmetric matrix on the free DOFs with
-    ``diagonal()`` and ``tocsc()`` (a scipy sparse matrix qualifies; the
-    field systems return their band storage), and ``factor(H)``, a solver
-    r -> H^{-1} r for such a matrix, or None when H is not positive
-    definite (the stepper then runs SuperLU on ``H.tocsc()``).  The stepper
-    keeps the last solver and applies it to the gradients of later iterates
-    and later steps, so it must stay valid when H and the problem are gone.
+    ``hessian(v)``, a symmetric matrix on the free DOFs that only
+    ``factor`` reads (the field systems return their band storage), and
+    ``factor(H, shift)``, a solver r -> H^{-1} r for H + shift |diag H|,
+    or None when that is not positive definite.  The stepper keeps the
+    last solver and applies it to the gradients of later iterates and
+    later steps, so it must stay valid when H and the problem are gone.
     D^2 must be symmetric, nonnegative and zero exactly on the diagonal; the
     gradients must be consistent with finite differences of the values.
     """
@@ -93,6 +95,8 @@ MAX_BACKTRACK = 40
 # a lent factor's direction is taken only while its decrement falls at least
 # this much from the previous direction's, after a full step
 CONTRACTION = 1.0 / 16.0
+# diagonal shifts, in units of |diag H|, tried in turn on a fresh Hessian
+SHIFTS = (0.0,) + tuple(1e-3 * 10.0**k for k in range(7))
 
 
 @dataclass
@@ -102,8 +106,12 @@ class SolverOptions:
     armijo: float = 1e-4
 
     def __post_init__(self):
-        if self.tol <= 0.0 or self.armijo <= 0.0:
-            raise ValueError("solver tolerances must be positive")
+        if self.tol <= 0.0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.armijo < 1.0:
+            raise ValueError(f"armijo must lie in (0, 1), got {self.armijo}")
+        if self.max_newton < 0:
+            raise ValueError(f"max_newton must be nonnegative, got {self.max_newton}")
 
 
 @dataclass
@@ -112,7 +120,7 @@ class StepReport:
     dist: float
     newton_iters: int  # Newton steps taken, the final full step included
     grad_norm: float
-    used_fallback: bool = False
+    used_fallback: int = 0  # fresh Hessians that needed a diagonal shift
     slope: float = float("nan")
     scale: float = float("nan")  # |Phi(u_n)| + lambda_1^2 / 2, the step's unit of Phi
     factorizations: int = 0  # fresh Hessians assembled and factored
@@ -159,30 +167,11 @@ class Trajectory:
         return rows
 
 
-def _superlu_solve(H: sp.csc_matrix, rhs: np.ndarray):
-    """SuperLU solve with Jacobi equilibration and one refinement pass, or
-    None when H is exactly singular.
-
-    The scaling multiplies the CSC data directly, so the matrix reaches
-    SuperLU without a conversion."""
-    scale = 1.0 / np.sqrt(np.maximum(np.abs(H.diagonal()), 1e-300))
-    data = H.data * scale[H.indices] * np.repeat(scale, np.diff(H.indptr))
-    Hs = sp.csc_matrix((data, H.indices, H.indptr), shape=H.shape)
-    b = rhs * scale
-    try:
-        lu = spla.splu(Hs)
-    except RuntimeError:
-        return None
-    x = lu.solve(b)
-    x = x + lu.solve(b - Hs @ x)
-    return x * scale
-
-
 @dataclass
 class Chord:
     """The banded Cholesky solver r -> H^{-1} r of a trajectory's last fresh
     Hessian, lent to its next Newton iterations, across steps too; empty
-    until the first fresh Hessian and whenever Cholesky rejects one.
+    until the first fresh Hessian.
 
     ``run_trajectory`` makes one per trajectory, so a run does not depend
     on what ran before it on the same system."""
@@ -190,22 +179,18 @@ class Chord:
     solve: Callable[[np.ndarray], np.ndarray] | None = None
 
 
-def _fresh_direction(problem, u: np.ndarray, rhs: np.ndarray, chord: Chord):
-    """Newton direction H(u)^{-1} rhs from a fresh Hessian, or, when no
-    direct solve gives a descent direction, Jacobi-scaled steepest descent,
-    which keeps the trial step bounded; returns (direction, fallback used).
-
-    The held solver is dropped before the Hessian is assembled, so at most
-    one factor is alive.  H's banded Cholesky solver becomes the held one;
-    only a matrix Cholesky rejects reaches SuperLU, as a CSC copy, and its
-    LU is never held."""
+def _fresh_direction(problem, u: np.ndarray, rhs: np.ndarray, chord: Chord, step_index: int):
+    """Newton direction from a fresh Hessian H(u), factored with the first
+    shift of SHIFTS for which Cholesky accepts it; returns (direction,
+    shifted).  The factor becomes the held solver; the old one is dropped
+    before H is assembled, so at most one factor is alive."""
     chord.solve = None
     H = problem.hessian(u)
-    solve = chord.solve = problem.factor(H)
-    d = solve(rhs) if solve is not None else _superlu_solve(H.tocsc(), rhs)
-    if d is not None and np.all(np.isfinite(d)) and float(np.dot(rhs, d)) >= 0.0:
-        return d, False
-    return rhs / np.maximum(np.abs(H.diagonal()), 1e-300), True
+    for shift in SHIFTS:
+        solve = chord.solve = problem.factor(H, shift)
+        if solve is not None:
+            return solve(rhs), shift > 0.0
+    raise StepFailure(step_index, f"no shift up to {shift:g} |diag H| makes H positive definite")
 
 
 def incremental_step(
@@ -232,7 +217,7 @@ def incremental_step(
     phi_prev = problem.parts(u)[0]
     phi_u = phi_prev
     scale = None
-    used_fallback = False
+    used_fallback = 0
     # the previous direction's decrement and whether its full step was taken;
     # the previous step's last direction ends in its unsearched full step
     prev_decrement, full = np.inf, True
@@ -249,11 +234,11 @@ def incremental_step(
             # the chord is taken while it contracts; the stop test is always fresh
             if not (full and opts.tol * unit < decrement <= CONTRACTION * prev_decrement):
                 d_free = None
-        fallback = False
+        shifted = False
         if d_free is None:
-            d_free, fallback = _fresh_direction(problem, u, rhs, chord)
+            d_free, shifted = _fresh_direction(problem, u, rhs, chord, step_index)
             factorizations += 1
-            used_fallback |= fallback
+            used_fallback += shifted
             decrement = float(np.dot(rhs, d_free))
         if scale is None:
             # the step's unit of Phi: nonzero unless u_prev is stationary
@@ -261,7 +246,8 @@ def incremental_step(
         step = np.zeros_like(u)
         step[free] = d_free
 
-        if not fallback and decrement <= opts.tol * scale:
+        # only an unshifted fresh factor certifies a minimizer
+        if not shifted and decrement <= opts.tol * scale:
             # a zero decrement means a zero gradient: u is already stationary
             if decrement > 0.0:
                 u = u + step

@@ -98,15 +98,17 @@ class TestIncrementalHessian:
         assert H.shape == (int(s.free.sum()),) * 2
 
 
-    def test_band_solve_matches_spsolve(self, name):
+    @pytest.mark.parametrize("shift", [0.0, 1e-2])
+    def test_band_solve_matches_spsolve(self, name, shift):
         s = SYSTEMS[name]()
         rng = np.random.default_rng(64)
         anchor, u = random_state(s, rng), random_state(s, rng)
         problem = s.incremental(anchor, TAU)
         H = problem.hessian(u)
         b = rng.standard_normal(H.shape[0])
-        ref = spla.spsolve(H.tocsc(), b)
-        x = problem.factor(H)(b)
+        Hc = H.tocsc()
+        ref = spla.spsolve((Hc + shift * sp.diags(np.abs(Hc.diagonal()))).tocsc(), b)
+        x = problem.factor(H, shift)(b)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
         # the RCM order makes the pattern a band narrower than the matrix
         assert s._plan.bandwidth < H.shape[0] // 2
@@ -255,48 +257,81 @@ def shifted_diagonal(H, sigma):
     return fem.BandMatrix(H.plan, band)
 
 
-@pytest.mark.parametrize("name", ["plate eps=0.05", "ribbon"])
-def test_indefinite_hessian_takes_superlu_path(name, monkeypatch):
-    s = SYSTEMS[name]()
-    rng = np.random.default_rng(65)
-    u0 = random_state(s, rng, amp=0.05)
-    H = s.incremental(u0, TAU).hessian(u0)
-    # positive diagonal, negative eigenvalues: only pbtrf can reject it
-    sigma = 0.3 * H.diagonal().min()
-    assert np.linalg.eigvalsh(shifted_diagonal(H, sigma).tocsc().toarray())[0] < 0.0
-    assert s._plan.factor(shifted_diagonal(H, sigma)) is None
+def indefinite(H):
+    """H with its diagonal lowered by 0.3 of its smallest entry: the diagonal
+    stays positive, so only pbtrf can reject it, and it must."""
+    Hs = shifted_diagonal(H, 0.3 * H.band[:, 0].min())
+    assert np.linalg.eigvalsh(Hs.tocsc().toarray())[0] < 0.0
+    assert H.plan.factor(Hs) is None
+    return Hs
 
-    lu_calls, directions = [], []
-    splu = flow.spla.splu
+
+def recorded_directions(monkeypatch):
+    """(rhs, direction, shifted) of every fresh direction; asserts that
+    nothing reaches SuperLU."""
+    directions = []
     monkeypatch.setattr(
-        flow, "spla", SimpleNamespace(splu=lambda A: lu_calls.append(1) or splu(A))
+        flow, "spla", SimpleNamespace(splu=lambda A: pytest.fail("SuperLU called"))
     )
     fresh_direction = flow._fresh_direction
 
-    def recording_direction(problem, u, rhs, chord):
-        d, fallback = fresh_direction(problem, u, rhs, chord)
-        directions.append((rhs, d))
-        return d, fallback
+    def recording_direction(problem, u, rhs, chord, step_index):
+        d, shifted = fresh_direction(problem, u, rhs, chord, step_index)
+        directions.append((rhs, d, shifted))
+        return d, shifted
 
     monkeypatch.setattr(flow, "_fresh_direction", recording_direction)
+    return directions
+
+
+@pytest.mark.parametrize("name", ["plate eps=0.05", "ribbon"])
+def test_indefinite_hessian_takes_shifted_cholesky(name, monkeypatch):
+    s = SYSTEMS[name]()
+    rng = np.random.default_rng(65)
+    u0 = random_state(s, rng, amp=0.05)
+    directions = recorded_directions(monkeypatch)
     hessian = IncrementalProblem.hessian
     first = []
 
-    def shifted_once(self, v):
+    def indefinite_once(self, v):
         H = hessian(self, v)
         if first:
             return H
         first.append(1)
-        return shifted_diagonal(H, sigma)
+        return indefinite(H)
 
-    monkeypatch.setattr(IncrementalProblem, "hessian", shifted_once)
+    monkeypatch.setattr(IncrementalProblem, "hessian", indefinite_once)
     u1, rep = flow.incremental_step(s, TAU, u0)
-    assert lu_calls == [1]
-    rhs, d = directions[0]
-    # a descent direction for the gradient -rhs, or the scaled-gradient fallback
-    assert (d is not None and np.dot(-rhs, d) < 0.0) or rep.used_fallback
+    assert rep.used_fallback >= 1
+    rhs, d, shifted = directions[0]
+    # a descent direction for the gradient -rhs
+    assert shifted and np.dot(-rhs, d) < 0.0
+    # the step ended on an unshifted factor
+    assert not directions[-1][2]
     # the one-step energy inequality
     assert s.energy(u1) + s.sqdist(u0, u1) / (2 * TAU) <= s.energy(u0) + 1e-12
+
+
+@pytest.mark.parametrize("start", ["random", "stationary"])
+def test_step_never_ends_on_a_shifted_factor(start, monkeypatch):
+    """With every fresh Hessian indefinite, the shifted directions still
+    descend, but no decrement of theirs may end the step: not even a zero
+    one at a stationary point, which is then a saddle of the fake Hessian."""
+    if start == "random":
+        s = SYSTEMS["ribbon"]()
+        u0 = random_state(s, np.random.default_rng(66), amp=0.05)
+    else:
+        s = RibbonSystem(Mesh1D(l=1.0, n=12), MaterialPair.isotropic(1.2, 0.5, 0.8, 0.3))
+        u0 = s.zero_state()
+        assert not np.any(s.incremental(u0, TAU).grad(u0))
+    directions = recorded_directions(monkeypatch)
+    hessian = IncrementalProblem.hessian
+    monkeypatch.setattr(IncrementalProblem, "hessian", lambda self, v: indefinite(hessian(self, v)))
+    with pytest.raises(flow.StepFailure, match="did not converge") as err:
+        flow.incremental_step(s, TAU, u0, flow.SolverOptions(max_newton=8), step_index=3)
+    assert err.value.step_index == 3
+    assert len(directions) == 9 and all(shifted for _, _, shifted in directions)
+    assert all(np.dot(-rhs, d) <= 0.0 for rhs, d, _ in directions)
 
 
 def connectivity(system, element_dofs, fields, coupled):

@@ -201,6 +201,12 @@ class TestCli:
         path = write(tmp_path, MINIMAL + "mu_W = -2\n")
         assert main(["simulate-1d", path]) == 65
 
+    def test_out_of_range_solver_option_exits_65(self, tmp_path, capsys):
+        # a line search that cannot succeed would otherwise exit 2, as a solver failure
+        path = write(tmp_path, XI2_DECAY + "\n[solver]\narmijo = 1.5\n")
+        assert main(["simulate-1d", path, "--out", str(tmp_path / "o"), "--quiet"]) == 65
+        assert "solver" in capsys.readouterr().err
+
     def test_simulate_1d_row_count(self, tmp_path):
         path = write(tmp_path, XI2_DECAY)
         out = str(tmp_path / "out")

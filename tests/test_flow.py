@@ -5,7 +5,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
@@ -45,8 +44,8 @@ class OneDof:
             parts=parts,
             value=lambda v: parts(v)[0] + parts(v)[1] / (2 * tau),
             grad=lambda v: v + (v - a) / tau,
-            hessian=lambda v: sp.csc_matrix([[1.0 + 1.0 / tau]]),
-            factor=lambda H: lambda b: b / H[0, 0],
+            hessian=lambda v: np.array([[1.0 + 1.0 / tau]]),
+            factor=lambda H, shift: lambda b: b / ((1.0 + shift) * H[0, 0]),
         )
 
 
@@ -214,6 +213,13 @@ class TestDissipationLedger:
 
 
 class TestFailureModes:
+    @pytest.mark.parametrize(
+        "bad", [{"armijo": 1.5}, {"armijo": 1.0}, {"armijo": 0.0}, {"max_newton": -3}, {"tol": 0.0}]
+    )
+    def test_out_of_range_options_rejected(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            SolverOptions(**bad)
+
     def test_nonconvergence_reported_with_step_index(self):
         s, u0 = xi2_system(n=8)
         opts = SolverOptions(tol=1e-10, max_newton=0)

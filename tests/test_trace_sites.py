@@ -1,9 +1,10 @@
 """The benchmark's per-layer trace wraps package names; they must keep resolving.
 
 ``perfbench/layers.py`` wraps functions where callers resolve them and
-methods on their classes, and reaches SuperLU through ``flow.spla``.  A
-renamed or removed name would make ``perfbench/run.py --trace 1`` fail
-only when someone runs it.
+methods on their classes, and scipy's ``splu`` through ``flow.spla``, a
+module reference that flow keeps only for that (the stepper's one solve
+path is the banded Cholesky).  A renamed or removed name would make
+``perfbench/run.py --trace 1`` fail only when someone runs it.
 """
 
 import importlib
