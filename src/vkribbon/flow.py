@@ -224,6 +224,8 @@ def incremental_step(
     factorizations = 0
 
     g = problem.grad(u)
+    if not (np.isfinite(phi_prev) and np.isfinite(g[free]).all()):
+        raise StepFailure(step_index, f"warm start state is not finite (Phi = {phi_prev:.3e})")
     iters = 0
     while True:
         rhs = -g[free]

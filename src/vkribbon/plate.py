@@ -94,9 +94,8 @@ class PlateSystem(FieldSystem):
         self.wq = q.weights
         self.CW = material.W.C
         self.CR = material.viscous_matrix(self.eps)
-        self.f_q = forces.f(q.x)
-        self.g1_q = forces.g1(q.x)
-        self.g2_q = forces.g2(q.x)
+        xs = q.x_stations()
+        self.f_q, self.g1_q, self.g2_q = (q.spread(p(xs)) for p in (forces.f, forces.g1, forces.g2))
         self._loads = [
             ("w", self.bfs, self.f_q), ("y1", self.q1, self.g1_q), ("y2", self.q1, self.g2_q)
         ]
@@ -218,7 +217,9 @@ class PlateSystem(FieldSystem):
         Uses the limit metric on the projected channels: the membrane slot
         compares d1 y1 + |d1 w|^2 / 2 against the Bernoulli-Navier field of
         the ribbon state, the bending/twist slot compares d11 w and the
-        x2-averaged twist derivative against (w'', theta').
+        x2-averaged twist derivative against (w'', theta').  The ribbon
+        fields depend on x1 alone, so they are evaluated once per x1-station
+        and spread over the station's transverse points.
         """
         mu, _, h = self.channels(u)
         q = self.quad
@@ -226,14 +227,12 @@ class PlateSystem(FieldSystem):
         t_2d = q.spread(q.x2_average(h[:, 1]))
 
         xi1, xi2, wv, th = ribbon.split(v)
-        x1 = q.x
-        pa_1d = (
-            ribbon.p1.evaluate(xi1, x1, 1)
-            + 0.5 * ribbon.h3.evaluate(wv, x1, 1) ** 2
-            - q.y * ribbon.h3.evaluate(xi2, x1, 2)
-        )
-        kap_1d = ribbon.h3.evaluate(wv, x1, 2)
-        t_1d = ribbon.p1.evaluate(th, x1, 1)
+        xs = q.x_stations()
+        pa_1d = q.spread(
+            ribbon.p1.evaluate(xi1, xs, 1) + 0.5 * ribbon.h3.evaluate(wv, xs, 1) ** 2
+        ) - q.y * q.spread(ribbon.h3.evaluate(xi2, xs, 2))
+        kap_1d = q.spread(ribbon.h3.evaluate(wv, xs, 2))
+        t_1d = q.spread(ribbon.p1.evaluate(th, xs, 1))
 
         m = self.material
         da = pa_2d - pa_1d
@@ -303,7 +302,9 @@ def build_recovery(system: PlateSystem, inputs: RecoveryInputs) -> np.ndarray:
     maps) the transverse curvature corrector; the in-plane fields carry the
     Bernoulli-Navier embedding with the quadratic twist compensation.  All
     corrections vanish on the lateral boundary through the cutoff, and the
-    constrained DOFs are enforced exactly afterwards.
+    constrained DOFs are enforced exactly afterwards.  The target's fields
+    are evaluated once per x-node of the plate mesh; only the polynomial
+    x2-profiles of the ansatz are formed node by node.
     """
     target = inputs.target
     eps = system.eps
@@ -320,7 +321,7 @@ def build_recovery(system: PlateSystem, inputs: RecoveryInputs) -> np.ndarray:
     delta = inputs.cutoff_width * eps
     delta = min(delta, 0.45 * mesh1.l)
 
-    def fields(x1, x2):
+    def fields(x1):
         chi, dchi = _smoothstep_cutoff(x1, mesh1.l, delta)
         th = p1.evaluate(target.theta, x1, 0)
         dth = _node_eval(p1, target.theta, x1, 1)
@@ -346,7 +347,6 @@ def build_recovery(system: PlateSystem, inputs: RecoveryInputs) -> np.ndarray:
         za = k_alpha[0] * (dxi1 + 0.5 * dw**2)
         zb = -k_alpha[0] * ddxi2
         return {
-            "chi": chi,
             "theta": th_c,
             "dtheta": dth_c,
             "w": wv,
@@ -360,34 +360,22 @@ def build_recovery(system: PlateSystem, inputs: RecoveryInputs) -> np.ndarray:
             "zb": zb * chi,
         }
 
-    def w_data(x1, x2):
-        f = fields(x1, x2)
-        quad = 0.5 * (x2 + 0.5) ** 2
-        return (
-            f["w"] + eps * x2 * f["theta"] + eps**2 * f["gam"] * quad,
-            f["dw"] + eps * x2 * f["dtheta"] + eps**2 * f["dgam"] * quad,
-            eps * f["theta"] + eps**2 * f["gam"] * (x2 + 0.5),
-            eps * f["dtheta"] + eps**2 * f["dgam"] * (x2 + 0.5),
-        )
-
-    def y1_fn(x1, x2):
-        f = fields(x1, x2)
-        return f["xi1"] - x2 * f["dxi2"] - eps * x2 * f["dw"] * f["theta"]
-
-    def y2_fn(x1, x2):
-        f = fields(x1, x2)
-        zint = f["za"] * (x2 + 0.5) + 0.5 * f["zb"] * (x2**2 - 0.25)
-        return f["xi2"] - 0.5 * eps**2 * x2 * f["theta"] ** 2 + eps**2 * zint
-
-    u = system.interpolate(
-        y1_fn,
-        y2_fn,
-        (
-            lambda x, y: w_data(x, y)[0],
-            lambda x, y: w_data(x, y)[1],
-            lambda x, y: w_data(x, y)[2],
-            lambda x, y: w_data(x, y)[3],
-        ),
+    # the fields depend on x1 alone: evaluate them once per x-node and give
+    # each the ny + 1 nodes it owns in the x-major node order
+    mesh2 = system.mesh
+    f = {k: np.repeat(v, mesh2.ny + 1) for k, v in fields(mesh2.x_nodes).items()}
+    x2 = mesh2.node_coords()[1]
+    quad = 0.5 * (x2 + 0.5) ** 2
+    zint = f["za"] * (x2 + 0.5) + 0.5 * f["zb"] * (x2**2 - 0.25)
+    nodal = (
+        f["xi1"] - x2 * f["dxi2"] - eps * x2 * f["dw"] * f["theta"],
+        f["xi2"] - 0.5 * eps**2 * x2 * f["theta"] ** 2 + eps**2 * zint,
+        f["w"] + eps * x2 * f["theta"] + eps**2 * f["gam"] * quad,
+        f["dw"] + eps * x2 * f["dtheta"] + eps**2 * f["dgam"] * quad,
+        eps * f["theta"] + eps**2 * f["gam"] * (x2 + 0.5),
+        eps * f["dtheta"] + eps**2 * f["dgam"] * (x2 + 0.5),
     )
+    y1_fn, y2_fn, *w_fns = (lambda x1, x2, a=a: a for a in nodal)
+    u = system.interpolate(y1_fn, y2_fn, w_fns)
     system.check_admissible(u)
     return u

@@ -91,12 +91,11 @@ class TestIncrementalHessian:
         # the full-size wrappers vanish on constrained rows and columns
         assert parts[s.bc_mask].nnz == 0 and parts[:, s.bc_mask].nnz == 0
 
-    def test_csc_for_superlu(self, name):
+    def test_tocsc_is_canonical_csc(self, name):
         s = SYSTEMS[name]()
         H = s.incremental(s.zero_state(), TAU).hessian(s.zero_state()).tocsc()
         assert H.format == "csc" and H.has_canonical_format
         assert H.shape == (int(s.free.sum()),) * 2
-
 
     @pytest.mark.parametrize("shift", [0.0, 1e-2])
     def test_band_solve_matches_spsolve(self, name, shift):

@@ -232,6 +232,19 @@ class TestFailureModes:
             run_trajectory(Kinked(), np.array([1.0]), 1.0, 2.0)
         assert err.value.step_index == 1
 
+    def test_non_finite_warm_start_named_before_any_hessian(self, monkeypatch):
+        s = RibbonSystem(Mesh1D(l=1.0, n=12), MaterialPair.isotropic(1.0, 0.0, 1.0, 0.0))
+        u = s.zero_state()
+        u[np.flatnonzero(s.free)[:3]] = np.nan
+        hessians = []
+        real = IncrementalProblem.hessian
+        monkeypatch.setattr(
+            IncrementalProblem, "hessian", lambda p, v: hessians.append(v) or real(p, v)
+        )
+        with pytest.raises(StepFailure, match="state is not finite") as err:
+            incremental_step(s, 0.1, u, step_index=4)
+        assert err.value.step_index == 4 and not hessians
+
 
 def forced_trajectory(mu_w, mu_r, load, tau, steps=5, n=32):
     """A nonlinear forced ribbon flow: W, R and the load f set by their scales."""

@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from vkribbon.fem import BoundaryData, Mesh1D, Mesh2D
+from vkribbon.fem import BoundaryData, Hermite3Space, Mesh1D, Mesh2D, P1Space
 from vkribbon.forms import MaterialPair
 from vkribbon.plate import (
+    BEND_FACTOR,
     PlateSystem,
     RecoveryInputs,
+    _node_eval,
+    _smoothstep_cutoff,
     build_recovery,
 )
 from vkribbon.ribbon import RibbonForces, RibbonSystem
 
 BUMP = Polynomial.fromroots([-0.5, -0.5, 0.5, 0.5])
+PARABOLA = Polynomial.fromroots([-0.5, 0.5])
 
 
 @pytest.fixture
@@ -300,6 +304,133 @@ class TestRecovery:
             u = build_recovery(ps, RecoveryInputs(target=rs.state(v)))
             errs.append(abs(ps.energy(u) - phi0))
         assert errs[1] < errs[0] and errs[2] < errs[1]
+
+
+# ---------------------------------------------------------------------------
+# per-point oracles: the ribbon fields evaluated afresh at every 2D point,
+# the reference that the once-per-x1-station evaluation must match bit for bit
+
+
+def pointwise_recovery(system, inputs):
+    target, eps, mesh1 = inputs.target, system.eps, inputs.target.mesh
+    p1, h3 = P1Space(mesh1), Hermite3Space(mesh1)
+    k_alpha = system.material.W1.argmin_coeff
+    delta = min(inputs.cutoff_width * eps, 0.45 * mesh1.l)
+
+    def fields(x1, x2):
+        chi, dchi = _smoothstep_cutoff(x1, mesh1.l, delta)
+        th = p1.evaluate(target.theta, x1, 0)
+        dth = _node_eval(p1, target.theta, x1, 1)
+        dw = h3.evaluate(target.w, x1, 1)
+        ddw = _node_eval(h3, target.w, x1, 2)
+        gam = k_alpha[0] * ddw + k_alpha[1] * dth
+        dgam = k_alpha[0] * _node_eval(h3, target.w, x1, 3)
+        za = k_alpha[0] * (_node_eval(p1, target.xi1, x1, 1) + 0.5 * dw**2)
+        zb = -k_alpha[0] * _node_eval(h3, target.xi2, x1, 2)
+        return {
+            "theta": th * chi,
+            "dtheta": dth * chi + th * dchi,
+            "w": h3.evaluate(target.w, x1, 0),
+            "dw": dw,
+            "xi1": p1.evaluate(target.xi1, x1, 0),
+            "xi2": h3.evaluate(target.xi2, x1, 0),
+            "dxi2": h3.evaluate(target.xi2, x1, 1),
+            "gam": gam * chi,
+            "dgam": dgam * chi + gam * dchi,
+            "za": za * chi,
+            "zb": zb * chi,
+        }
+
+    def w_data(x1, x2):
+        f = fields(x1, x2)
+        quad = 0.5 * (x2 + 0.5) ** 2
+        return (
+            f["w"] + eps * x2 * f["theta"] + eps**2 * f["gam"] * quad,
+            f["dw"] + eps * x2 * f["dtheta"] + eps**2 * f["dgam"] * quad,
+            eps * f["theta"] + eps**2 * f["gam"] * (x2 + 0.5),
+            eps * f["dtheta"] + eps**2 * f["dgam"] * (x2 + 0.5),
+        )
+
+    def y1_fn(x1, x2):
+        f = fields(x1, x2)
+        return f["xi1"] - x2 * f["dxi2"] - eps * x2 * f["dw"] * f["theta"]
+
+    def y2_fn(x1, x2):
+        f = fields(x1, x2)
+        zint = f["za"] * (x2 + 0.5) + 0.5 * f["zb"] * (x2**2 - 0.25)
+        return f["xi2"] - 0.5 * eps**2 * x2 * f["theta"] ** 2 + eps**2 * zint
+
+    w_fns = [lambda x, y, k=k: w_data(x, y)[k] for k in range(4)]
+    return system.interpolate(y1_fn, y2_fn, w_fns)
+
+
+def pointwise_d0(system, u, ribbon, v):
+    mu, _, h = system.channels(u)
+    q, m = system.quad, system.material
+    xi1, xi2, wv, th = ribbon.split(v)
+    pa_1d = (
+        ribbon.p1.evaluate(xi1, q.x, 1)
+        + 0.5 * ribbon.h3.evaluate(wv, q.x, 1) ** 2
+        - q.y * ribbon.h3.evaluate(xi2, q.x, 2)
+    )
+    da = mu[:, 0] - pa_1d
+    dk = h[:, 0] - ribbon.h3.evaluate(wv, q.x, 2)
+    dt = q.spread(q.x2_average(h[:, 1])) - ribbon.p1.evaluate(th, q.x, 1)
+    Q1 = m.R1.C
+    dens = m.R0.C0 * da**2 + BEND_FACTOR * (
+        Q1[0, 0] * dk**2 + 2.0 * Q1[0, 1] * dk * dt + Q1[1, 1] * dt**2
+    )
+    return float(np.sqrt(max(np.dot(system.wq, dens), 0.0)))
+
+
+STATION_MATERIALS = {
+    "H1": MaterialPair.isotropic(1.0, 0.0, 1.0, 0.0),
+    "iso": MaterialPair.isotropic(1.2, 0.5, 0.8, 0.3),
+    "h2": MaterialPair.isotropic(1.0, 0.7, 1.0, 0.4, h2_family=True),
+}
+STATION_BCS = {
+    "zero": BoundaryData.zero(),
+    "bc": BoundaryData.from_coeffs(u1=(0, -0.1), u2=(0, 0.05), v=(0.01, 0.02)),
+}
+
+
+class TestPerStationEvaluation:
+    """Fields of x1 alone evaluated once per x1-station give the per-point
+    results bit for bit."""
+
+    @pytest.mark.parametrize("eps", [0.2, 0.05])
+    @pytest.mark.parametrize("n1d, nx, ny", [(48, 48, 8), (32, 64, 4), (40, 24, 4)])
+    @pytest.mark.parametrize("bc", STATION_BCS)
+    @pytest.mark.parametrize("mat", STATION_MATERIALS)
+    def test_recovery_and_d0_match_pointwise(self, mat, bc, n1d, nx, ny, eps):
+        material, data = STATION_MATERIALS[mat], STATION_BCS[bc]
+        rs = RibbonSystem(Mesh1D(l=1.0, n=n1d), material, data)
+        ps = PlateSystem(Mesh2D(l=1.0, nx=nx, ny=ny), eps, material, data)
+        v = rs.interpolate(0.5 * PARABOLA, 0.3 * BUMP, 2.0 * BUMP, 4.0 * BUMP)
+        inputs = RecoveryInputs(target=rs.state(v))
+        u = build_recovery(ps, inputs)
+        reference = pointwise_recovery(ps, inputs)
+        reference[ps.bc_mask] = ps.bc_values[ps.bc_mask]
+        assert np.array_equal(u, reference)
+        # a state off the recovery and a ribbon state off the target
+        w = u + 0.01 * np.sin(np.arange(u.size)) * ps.free
+        vb = rs.interpolate(0.2 * PARABOLA, 0.1 * BUMP, BUMP, 3.0 * BUMP)
+        for plate_u, ribbon_v in ((u, v), (w, v), (w, vb)):
+            assert ps.d0_projected(plate_u, rs, ribbon_v) == pointwise_d0(ps, plate_u, rs, ribbon_v)
+
+    def test_argmin_correctors_are_exercised(self):
+        assert not np.any(STATION_MATERIALS["H1"].W1.argmin_coeff)
+        assert np.any(STATION_MATERIALS["iso"].W1.argmin_coeff)
+        assert np.any(STATION_MATERIALS["h2"].W1.argmin_coeff)
+
+    def test_load_vector_matches_pointwise(self, mesh2):
+        forces = RibbonForces.from_coeffs(f=(0.2, 0.5, -0.3), g1=(0.1, 0.4), g2=(0.3,))
+        s = PlateSystem(mesh2, 0.1, STATION_MATERIALS["iso"], forces=forces)
+        q, reference = s.quad, np.zeros(s.n_dofs)
+        loads = (("w", s.bfs, forces.f), ("y1", s.q1, forces.g1), ("y2", s.q1, forces.g2))
+        for name, space, load in loads:
+            reference[s.slices[name]] = space.sample_matrix(q, 0, 0).T @ (s.wq * load(q.x))
+        assert np.array_equal(s._force, reference)
 
 
 class TestOperatorPaths:

@@ -5,7 +5,8 @@ SIAM J. Numer. Anal. 23, 1986): on a family of refined meshes the Newton
 iterations a step needs do not grow.  With the scale-free decrement stop
 and the lent factor this holds for the iterations and for the fresh
 factorizations per step, no step needs a shifted factor, and the final
-energy converges at the elements' second order in h.
+energy and the De Giorgi residual converge at the elements' second order
+in h.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from numpy.polynomial import Polynomial
 
 from vkribbon.fem import Mesh1D, Mesh2D
-from vkribbon.flow import SolverOptions, run_trajectory
+from vkribbon.flow import SolverOptions, dissipation_ledger, run_trajectory
 from vkribbon.forms import MaterialPair
 from vkribbon.plate import PlateSystem, RecoveryInputs, build_recovery
 from vkribbon.ribbon import RibbonSystem
@@ -41,21 +42,34 @@ def ribbon_runs():
     runs = {}
     for n in RIBBON_MESHES:
         s = RibbonSystem(Mesh1D(l=1.0, n=n), H1)
-        runs[n] = run_trajectory(s, s.interpolate(*DATUM), 0.01, 0.5)
+        runs[n] = s, run_trajectory(s, s.interpolate(*DATUM), 0.01, 0.5, slope_fn=s.local_slope)
     return runs
 
 
+def observed_orders(values):
+    """log2 of successive gap ratios of a quantity on the halved meshes."""
+    gaps = np.abs(np.diff(values))
+    return np.log2(gaps[:-1] / gaps[1:])
+
+
 def test_ribbon_newton_work_does_not_grow(ribbon_runs):
-    counts = [per_step(ribbon_runs[n]) for n in RIBBON_MESHES]
+    counts = [per_step(ribbon_runs[n][1]) for n in RIBBON_MESHES]
     iters, factorizations, shifted = zip(*counts)
     assert max(iters) <= iters[0] and max(factorizations) <= factorizations[0], counts
     assert not any(shifted)
 
 
 def test_ribbon_energy_converges_at_second_order(ribbon_runs):
-    energies = np.array([ribbon_runs[n].reports[-1].energy for n in RIBBON_MESHES])
-    gaps = np.abs(np.diff(energies))
-    orders = np.log2(gaps[:-1] / gaps[1:])
+    orders = observed_orders([ribbon_runs[n][1].reports[-1].energy for n in RIBBON_MESHES])
+    assert np.all((1.8 <= orders) & (orders <= 2.2)), orders
+
+
+def test_ribbon_de_giorgi_residual_converges_at_second_order(ribbon_runs):
+    residuals = [
+        dissipation_ledger(s, traj, s.local_slope).residual
+        for s, traj in (ribbon_runs[n] for n in RIBBON_MESHES)
+    ]
+    orders = observed_orders(residuals)
     assert np.all((1.8 <= orders) & (orders <= 2.2)), orders
 
 
