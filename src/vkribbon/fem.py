@@ -18,13 +18,14 @@ per-point row coefficients into a DOF vector with one more product and a
 bincount.  Energies, gradients and every diagnostic field value are read
 through these two operations.  An ElementAssembly plan, made on the first
 Hessian, orders the fixed pattern of the free DOFs by reverse
-Cuthill-McKee into a narrow band.  The strain channels are linear in the
-element rows apart from a few quadratic terms, so the plan computes the
-element values of the channel forms on the linear rows once, and each
-Hessian adds the state-dependent rest with one matrix product over all
-elements and one bincount straight into LAPACK band storage, where the
-plan factors it by banded Cholesky, unscaled or with its diagonal raised
-by a given multiple of |diag H|, into a solver that outlives the matrix.
+Cuthill-McKee into a narrow band.  The strain channels, which FieldSystem
+writes once, are the linear element rows a system declares plus halved
+products of its slope rows, so the plan computes the element values of
+the channel forms on the linear rows once, and each Hessian adds the
+rest, one product of the slopes with constant slope forms, with one more
+matrix product and one bincount straight into LAPACK band storage, where
+the plan factors it by banded Cholesky, unscaled or with its diagonal
+raised by a given multiple of |diag H|, into a solver that outlives it.
 A space's sparse sampling matrix (rows = quadrature points, columns =
 DOFs) builds the load vector, once per system.
 """
@@ -755,8 +756,8 @@ class ElementAssembly:
 
     def assemble(self, rem: np.ndarray, cw: float, cr: float) -> BandMatrix:
         """Free-DOF matrix of the density cw QW + cr QR on the linear rows
-        plus ``rem`` (E, nq, len(pairs)) on the row pairs, without weights."""
-        values = rem.reshape(len(rem), -1) @ self.T
+        plus ``rem`` (E * nq, len(pairs)) on the row pairs, without weights."""
+        values = rem.reshape(-1, len(self.T)) @ self.T
         values += cw * self.KW + cr * self.KR
         band = np.bincount(self.slot, weights=values.ravel(), minlength=self.size + 1)
         return BandMatrix(self, band[:-1].reshape(self.n_free, -1))
@@ -796,23 +797,46 @@ class ElementAssembly:
         return sp.csc_matrix((K.data, rows, np.cumsum(indptr)), shape=(n, n))
 
 
+def _row_index(rows):
+    """``rows`` as a slice when they are consecutive, so indexing by it is a view."""
+    r = np.asarray(rows)
+    return slice(r[0], r[-1] + 1) if np.array_equal(r, np.arange(r[0], r[-1] + 1)) else r
+
+
 class FieldSystem:
     """What the ribbon and plate systems share: packed named fields with
     Dirichlet constraints, dead loads, the metric, the weak residual, and
     every energy, distance, gradient and Hessian, built on ElementTables.
 
-    The strain channels s (E, nq, ns) are quadratic in the element rows;
-    phi(u) = 1/2 int s . QW s minus the work of the loads and
-    D^2(a, b) = int (s_a - s_b) . QR (s_a - s_b).  Subclasses provide QW,
-    QR, ``_element_tables()`` and the hooks ``_channels(u)`` -> ch = (s, the
-    rest that ds/drows needs), ``_row_stress(ch, sig)`` -> ds/drows^T sig and
-    ``_hessian_density(ch, sig, C)`` -> ds/drows^T C ds/drows plus the
-    geometric term of sig on the tables' row ``pairs`` only, (E, nq,
-    len(pairs)) without weights; the rest of the density, C on the linear
-    rows, is the same at every point and the assembly plan adds it.
-    Coefficients (cw, cr) select cw * phi + cr * D^2(anchor, .)/2: stress
-    cw QW s + cr QR (s - s_anchor), C = cw QW + cr QR.
+    A subclass declares its strain: the channels s (E, nq, ns) are the
+    element rows ``LINEAR_ROWS``, plus 1/2 g_a g_b on membrane channel k
+    for the k-th pair (a, b) of ``MEMBRANE_SLOPES``, where the slopes g are
+    the rows ``SLOPE_ROWS``; every row is linear or a slope.  It provides
+    ``_element_rows()`` and QW, QR, in which the membrane channels meet no
+    other channel.  phi(u) = 1/2 int s . QW s minus the work of the loads
+    and D^2(a, b) = int (s_a - s_b) . QR (s_a - s_b).  Coefficients (cw, cr)
+    select cw * phi + cr * D^2(anchor, .)/2, with stress
+    sig = cw QW s + cr QR (s - s_anchor) and Hessian density C = cw QW + cr QR
+    on the linear rows, which the assembly plan adds, plus C ds/dg on the
+    row pairs (slope, membrane row) and ds/dg^T C ds/dg + sig . d^2s/dg^2
+    on (slope, slope).
     """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        ng, nm = len(cls.SLOPE_ROWS), len(cls.MEMBRANE_SLOPES)
+        cls._D2 = D2 = np.zeros((nm, ng, ng))  # d^2 s_k / dg^2
+        for k, (a, b) in enumerate(cls.MEMBRANE_SLOPES):
+            D2[k, a, b] += 0.5
+            D2[k, b, a] += 0.5
+        # index forms of the rows and of the factors of g_a g_b, g (x) g and sig_m (x) g
+        cls._linear, cls._slope = _row_index(cls.LINEAR_ROWS), _row_index(cls.SLOPE_ROWS)
+        cls._ga, cls._gb = (_row_index(ab) for ab in zip(*cls.MEMBRANE_SLOPES))
+        cls._gc, cls._gd = _row_index(np.repeat(range(ng), ng)), _row_index(np.tile(range(ng), ng))
+        cls._sk, cls._sd = _row_index(np.repeat(range(nm), ng)), _row_index(np.tile(range(ng), nm))
+        slope, membrane = cls.SLOPE_ROWS, cls.LINEAR_ROWS[:nm]
+        cls._row_pairs = [(i, j) for i in slope for j in membrane]
+        cls._row_pairs += [(slope[i], slope[j]) for i, j in zip(*np.tril_indices(ng))]
 
     def _set_layout(self, sizes: dict, mask: np.ndarray, values: np.ndarray) -> None:
         self.offsets = np.concatenate([[0], np.cumsum(list(sizes.values()))])
@@ -821,7 +845,7 @@ class FieldSystem:
             name: slice(a, b) for name, a, b in zip(sizes, self.offsets[:-1], self.offsets[1:])
         }
         self.bc_mask, self.bc_values, self.free = mask, values, ~mask
-        self._plan = None  # Hessian assembly plan, built on first use
+        self._plan = None  # Hessian assembly plan and slope forms, built on first use
 
     def split(self, u: np.ndarray):
         return tuple(u[sl] for sl in self.slices.values())
@@ -851,16 +875,62 @@ class FieldSystem:
 
     @cached_property
     def _tables(self) -> ElementTables:
-        return self._element_tables()
+        dofs, rows, coupling = self._element_rows()
+        weights = self.quad.by_element(self.wq)[0]
+        return ElementTables(
+            dofs, rows, weights, coupling, self.n_dofs, self.LINEAR_ROWS, self._row_pairs
+        )
 
     def rows(self, u: np.ndarray) -> np.ndarray:
-        """Every reference row of ``_element_tables`` at every quadrature
+        """Every reference row of ``_element_rows`` at every quadrature
         point, (n_points, r), in point order."""
         return self.quad.by_point(self._tables.evaluate(u))
 
     def _form(self, s: np.ndarray, Q: np.ndarray) -> float:
         """1/2 int s . Q s over channels s (E, nq, n)."""
         return 0.5 * float(np.vdot(s @ Q, s * self._tables.weights[:, None]))
+
+    def _channels(self, u: np.ndarray):
+        """Element-local strain s (E, nq, ns) and slopes g (E, nq, ng)."""
+        R = self._tables.evaluate(u)
+        g = R[..., self._slope]
+        s = R[..., self._linear]
+        s[..., :len(self._D2)] += 0.5 * g[..., self._ga] * g[..., self._gb]
+        return s, g
+
+    def _row_stress(self, ch, sig: np.ndarray) -> np.ndarray:
+        """ds/drows^T sig, (E, nq, r): sig on the linear rows and
+        sum_k sig_k ds_k/dg on the slope rows."""
+        g = ch[1]
+        out = np.empty(g.shape[:-1] + (sig.shape[-1] + g.shape[-1],))
+        out[..., self._linear] = sig
+        W = self._D2.reshape(-1, g.shape[-1])  # sig_k g_d -> sig_k D2[k, :, d]
+        sg = sig[..., self._sk] * g[..., self._sd]
+        out[..., self._slope] = (sg.reshape(-1, len(W)) @ W).reshape(g.shape)
+        return out
+
+    def _slope_forms(self) -> np.ndarray:
+        """The slope forms (F_W, F_R, F_G): the density on the row pairs is
+        (g, g (x) g, sig_m) @ (cw F_W + cr F_R + F_G), F_Q holding Q ds/dg
+        and ds/dg^T Q ds/dg, F_G the geometric term sig . d^2s/dg^2."""
+        D2 = self._D2
+        nm, ng = D2.shape[:2]
+        c, d = np.tril_indices(ng)
+        n = ng * nm  # the (slope, membrane row) pairs come first
+        F = np.zeros((3, ng + ng * ng + nm, n + len(c)))
+        for Fq, Q in zip(F, (self.QW[:nm, :nm], self.QR[:nm, :nm])):
+            Fq[:ng, :n] = np.einsum("kj,jcd->dck", Q, D2).reshape(ng, n)
+            P = np.einsum("jca,jk,kdb->abcd", D2, Q, D2)  # P[a, b] is the form of g_a g_b
+            Fq[ng:-nm, n:] = P[..., c, d].reshape(-1, len(c))
+        F[2, -nm:, n:] = D2[:, c, d]
+        return F
+
+    def _hessian_density(self, ch, sig: np.ndarray, cw: float, cr: float) -> np.ndarray:
+        """The density on the row pairs, (E * nq, len(pairs)) without weights."""
+        FW, FR, FG = self._forms
+        g = ch[1]
+        z = np.concatenate([g, g[..., self._gc] * g[..., self._gd], sig[..., :len(self._D2)]], -1)
+        return z.reshape(-1, z.shape[-1]) @ (cw * FW + cr * FR + FG)
 
     def _stress(self, ch, ch_a, cw: float, cr: float) -> np.ndarray:
         s = ch[0]
@@ -876,10 +946,10 @@ class FieldSystem:
 
     def _hessian(self, ch, ch_a, cw: float, cr: float) -> BandMatrix:
         """Free-DOF Hessian at channels ch, in band storage."""
-        C = cw * self.QW + cr * self.QR
-        rem = self._hessian_density(ch, self._stress(ch, ch_a, cw, cr), C)
         if self._plan is None:
             self._plan = ElementAssembly(self._tables, self.free, self.QW, self.QR)
+            self._forms = self._slope_forms()
+        rem = self._hessian_density(ch, self._stress(ch, ch_a, cw, cr), cw, cr)
         return self._plan.assemble(rem, cw, cr)
 
     def energy(self, u: np.ndarray) -> float:

@@ -169,11 +169,6 @@ class ExtendedForm:
     invsqrt: np.ndarray
     label: str = "W"
 
-    def __call__(self, x1, x2, x3):
-        x1, x2, x3 = np.broadcast_arrays(x1, x2, x3)
-        x = np.stack([x1, x2, x3], axis=-1)
-        return np.einsum("...i,ij,...j->...", x, self.M, x)
-
 
 def extended_form(q0: QuadForm0, q1: QuadForm1) -> ExtendedForm:
     M = np.zeros((3, 3))

@@ -22,7 +22,6 @@ import numpy as np
 from .fem import (
     BFSSpace,
     BoundaryData,
-    ElementTables,
     FieldSystem,
     Hermite3Space,
     Mesh2D,
@@ -38,11 +37,6 @@ from .forms import MaterialPair
 from .ribbon import RibbonForces, RibbonState, RibbonSystem
 
 BEND_FACTOR = 1.0 / 12.0
-# the strain s = (mu, h) is rows 0-2 and 5-7 plus (g1^2, g1 g2, g2^2) / 2 on the
-# membrane slots, so a Hessian density beyond C on those rows couples the
-# gradient rows g = rows 3-4 with the membrane rows and with each other
-LINEAR_ROWS = [0, 1, 2, 5, 6, 7]
-ROW_PAIRS = [(3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2), (3, 3), (4, 3), (4, 4)]
 
 
 @dataclass
@@ -64,9 +58,14 @@ class PlateState:
 class PlateSystem(FieldSystem):
     """Discrete 2D gradient system at one width eps on a fixed mesh.
 
-    The blocks (y1 | y2 | w) of the weak residual are the three scalar rows
-    of the two weak plate equations.
+    Its strain (mu, h) adds (g1^2, g1 g2, g2^2) / 2 to mu.  The blocks
+    (y1 | y2 | w) of the weak residual are the three scalar rows of the two
+    weak plate equations.
     """
+
+    LINEAR_ROWS = [0, 1, 2, 5, 6, 7]
+    SLOPE_ROWS = [3, 4]
+    MEMBRANE_SLOPES = [(0, 0), (0, 1), (1, 1)]
 
     def __init__(
         self,
@@ -124,15 +123,6 @@ class PlateSystem(FieldSystem):
 
     # -- channels -------------------------------------------------------------
 
-    def _channels(self, u: np.ndarray):
-        """Element-local strain s = (mu, h) (E, nq, 6) and scaled deflection
-        gradient g (E, nq, 2); the rows are (E11, E12, E22, g1, g2, h11, h12, h22)."""
-        R = self._tables.evaluate(u)
-        g = R[..., 3:5]
-        s = R[..., LINEAR_ROWS]
-        s[..., :3] += 0.5 * g[..., [0, 0, 1]] * g[..., [0, 1, 1]]
-        return s, g
-
     def channels(self, u: np.ndarray):
         """Membrane strain mu (nq, 3), scaled deflection gradient g (nq, 2),
         scaled Hessian h (nq, 3), in quadrature-point order."""
@@ -148,31 +138,7 @@ class PlateSystem(FieldSystem):
             "force": float(np.dot(self._force, u)),
         }
 
-    def _row_stress(self, ch, sig):
-        g1, g2 = ch[1][..., 0], ch[1][..., 1]
-        s0, s1, s2 = sig[..., 0], sig[..., 1], sig[..., 2]
-        dg = np.stack([s0 * g1 + 0.5 * s1 * g2, 0.5 * s1 * g1 + s2 * g2], axis=-1)
-        return np.concatenate([sig[..., :3], dg, sig[..., 3:]], axis=-1)
-
-    def _hessian_density(self, ch, sig, C):
-        """Density on the row pairs (g_a, E_b) and (g_a, g_b) of ROW_PAIRS."""
-        g1, g2 = ch[1][..., 0], ch[1][..., 1]
-        # dmu/dg of mu = E + (g1^2, g1 g2, g2^2) / 2, and C dmu/dg in one product
-        z = np.zeros_like(g1)
-        dm = np.stack([np.stack([g1, 0.5 * g2, z], -1), np.stack([z, 0.5 * g1, g2], -1)], -2)
-        v = (dm.reshape(-1, 3) @ C[:3, :3]).reshape(dm.shape)
-        # dmu/dg^T C dmu/dg plus the geometric stiffness of the quadratic membrane map
-        gg = np.stack(
-            [
-                g1 * v[..., 0, 0] + 0.5 * g2 * v[..., 0, 1] + sig[..., 0],
-                g1 * v[..., 1, 0] + 0.5 * g2 * v[..., 1, 1] + 0.5 * sig[..., 1],
-                0.5 * g1 * v[..., 1, 1] + g2 * v[..., 1, 2] + sig[..., 2],
-            ],
-            axis=-1,
-        )
-        return np.concatenate([v.reshape(g1.shape + (6,)), gg], axis=-1)
-
-    def _element_tables(self) -> ElementTables:
+    def _element_rows(self):
         """Element DOFs (y1 | y2 | w) and reference rows: the linear strain
         (E11, E12, E22), the scaled deflection gradient (g1, g2) and the
         scaled Hessian (h11, h12, h22); membrane and bending rows never meet."""
@@ -192,9 +158,7 @@ class PlateSystem(FieldSystem):
             rows[:, 3 + i, 8:] = self.bfs.ref_basis(sx, sy, dx, dy) / eps**dy
         coupling = np.ones((8, 8), dtype=bool)
         coupling[:3, 5:] = coupling[5:, :3] = False
-        return ElementTables(
-            dofs, rows, q.by_element(self.wq)[0], coupling, self.n_dofs, LINEAR_ROWS, ROW_PAIRS
-        )
+        return dofs, rows, coupling
 
     # -- projection onto ribbon variables -----------------------------------------
 

@@ -26,7 +26,6 @@ from numpy.polynomial import Polynomial
 
 from .fem import (
     BoundaryData,
-    ElementTables,
     FemError,
     FieldSystem,
     Hermite3Space,
@@ -40,10 +39,6 @@ from .fem import (
 from .forms import MaterialPair
 
 BEND_FACTOR = 1.0 / 12.0  # transverse second moment of the unit-width strip
-# the strain (a, m, kappa, t) is rows 0, 1, 3, 4 plus w'^2 / 2 on a, so a Hessian
-# density beyond the channel form on those rows couples w' with xi1' and itself
-LINEAR_ROWS = [0, 1, 3, 4]
-ROW_PAIRS = [(2, 0), (2, 2)]
 
 
 @dataclass(frozen=True)
@@ -123,9 +118,14 @@ class RibbonSystem(FieldSystem):
 
     Instances are read-only after construction, apart from caches filled
     on first use, and safe to share; all methods operate on packed DOF
-    vectors (xi1 | xi2 | w | theta).  The four blocks of the weak residual
-    are the four weak equations.
+    vectors (xi1 | xi2 | w | theta).  The strain (a, m, kappa, t) adds
+    w'^2 / 2 to a.  The four blocks of the weak residual are the four weak
+    equations.
     """
+
+    LINEAR_ROWS = [0, 1, 3, 4]
+    SLOPE_ROWS = [2]
+    MEMBRANE_SLOPES = [(0, 0)]
 
     def __init__(
         self,
@@ -186,15 +186,6 @@ class RibbonSystem(FieldSystem):
 
     # -- strain channels ----------------------------------------------------
 
-    def _channels(self, u: np.ndarray):
-        """Element-local strain s = (a, m, kappa, t) (E, nq, 4) and w' (E, nq);
-        the rows are (xi1', xi2'', w', w'', theta')."""
-        R = self._tables.evaluate(u)
-        wprime = R[..., 2]
-        s = R[..., LINEAR_ROWS]
-        s[..., 0] += 0.5 * wprime**2
-        return s, wprime
-
     def channels(self, u: np.ndarray) -> ChannelSamples:
         return ChannelSamples(*self._channels(u)[0].reshape(-1, 4).T)
 
@@ -233,20 +224,7 @@ class RibbonSystem(FieldSystem):
         dens = np.einsum("qi,ij,qj->q", v, M, v) + BEND_FACTOR * M[0, 0] * ch.m**2
         return float(np.dot(self.wq, dens))
 
-    # -- channel-level hooks --------------------------------------------------
-
-    def _row_stress(self, ch, sig):
-        return np.stack(
-            [sig[..., 0], sig[..., 1], sig[..., 0] * ch[1], sig[..., 2], sig[..., 3]], axis=-1
-        )
-
-    def _hessian_density(self, ch, sig, C):
-        """Density on the row pairs (w', xi1') and (w', w') of ROW_PAIRS."""
-        cwp = C[0, 0] * ch[1]
-        # the geometric term of the w-block carries the membrane stress
-        return np.stack([cwp, cwp * ch[1] + sig[..., 0]], axis=-1)
-
-    def _element_tables(self) -> ElementTables:
+    def _element_rows(self):
         """Element DOFs (xi1 | xi2 | w | theta) and reference rows xi1',
         xi2'', w', w'', theta'; the extended form couples w' to xi1' and
         theta' to w''."""
@@ -262,9 +240,7 @@ class RibbonSystem(FieldSystem):
         rows[:, 2, 6:10] = self.h3.ref_basis(s, 1)
         coupling = np.eye(5, dtype=bool)
         coupling[0, 2] = coupling[2, 0] = coupling[3, 4] = coupling[4, 3] = True
-        return ElementTables(
-            dofs, rows, q.by_element(self.wq)[0], coupling, self.n_dofs, LINEAR_ROWS, ROW_PAIRS
-        )
+        return dofs, rows, coupling
 
     # -- local slope ----------------------------------------------------------
 

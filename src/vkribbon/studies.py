@@ -134,15 +134,7 @@ def _projection_diag(plate: PlateSystem, u: np.ndarray) -> dict:
     def l2(v):
         return float(np.sqrt(np.dot(wq, v**2) / area))
 
-    q = plate.quad
-    return {
-        "gamma_l2": l2(gamma),
-        "E12_l2": l2(E12),
-        "E22_l2": l2(E22),
-        "gamma_avg_l2": float(
-            np.sqrt(np.dot(q.x2_average(gamma) ** 2, np.ones(q.n_stations)) / q.n_stations)
-        ),
-    }
+    return {"gamma_l2": l2(gamma), "E12_l2": l2(E12), "E22_l2": l2(E22)}
 
 
 def epsilon_study(
@@ -383,15 +375,13 @@ def geodesic_convexity_check(
 
     if not feasible(c_max):
         raise RuntimeError("no finite constant found up to c_max")
-    lo, hi = 0.0, 1.0
+    # lo is always a tested infeasible constant and hi a tested feasible one
+    lo, hi = 0.0, min(1.0, c_max)
     if feasible(0.0):
         hi = 0.0
     else:
         while not feasible(hi):
-            hi *= 2.0
-            if hi > c_max:
-                raise RuntimeError("no finite constant found up to c_max")
-        lo = hi / 2.0
+            lo, hi = hi, min(2.0 * hi, c_max)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             if feasible(mid):

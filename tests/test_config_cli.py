@@ -201,6 +201,33 @@ class TestCli:
         path = write(tmp_path, MINIMAL + "mu_W = -2\n")
         assert main(["simulate-1d", path]) == 65
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            (MINIMAL + "[geometry]\nl = 0\n", "geometry.l"),
+            (MINIMAL + "[geometry]\nl = abc\n", "geometry.l"),
+            (MINIMAL + "[geometry]\nepsilon_list = 0.1 -0.2\n", "geometry.epsilon_list"),
+            (MINIMAL + "[geometry]\ncutoff_width = 0\n", "geometry.cutoff_width"),
+            (MINIMAL + "[geometry]\ncutoff_width = 0.5\n", "geometry.cutoff_width"),
+            (MINIMAL + "[mesh]\nn1d = 1\n", "mesh.n1d"),
+            (MINIMAL + "[mesh]\nnx = 1\n", "mesh.nx"),
+            (MINIMAL + "[mesh]\nny = 1\n", "mesh.ny"),
+            (MINIMAL + "[mesh]\nn1d = 2.5\n", "mesh.n1d"),
+            (MINIMAL + "[time]\ntau = 0\n", "time.tau"),
+            (MINIMAL + "[time]\nT = -1\n", "time.T"),
+            (MINIMAL + "[time]\ntau_list = 0.1 0\n", "time.tau_list"),
+            ("[material]\nmodel = matrix\n", "CW and CR"),
+            ("[material]\nmodel = matrix\nCW = 1 0 0 0 1 0 0 0\nCR = 1 0 0 0 1 0 0 0 1\n", "CW"),
+            ("[material]\nmodel = neo-hookean\n", "material.model"),
+            (MINIMAL + "h2_family = maybe\n", "material.h2_family"),
+            ("model = isotropic\n", "parse error"),
+        ],
+    )
+    def test_invalid_value_exits_65_naming_key(self, tmp_path, capsys, text, key):
+        path = write(tmp_path, text)
+        assert main(["simulate-1d", path, "--out", str(tmp_path / "o"), "--quiet"]) == 65
+        assert key in capsys.readouterr().err
+
     def test_out_of_range_solver_option_exits_65(self, tmp_path, capsys):
         # a line search that cannot succeed would otherwise exit 2, as a solver failure
         path = write(tmp_path, XI2_DECAY + "\n[solver]\narmijo = 1.5\n")

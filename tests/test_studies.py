@@ -341,6 +341,21 @@ class TestGeodesicConvexity:
         assert np.isfinite(C1) and np.isfinite(C2)
         assert abs(C2 - C1) <= 0.2 * max(C1, C2) + 1e-9
 
+    def test_constant_between_last_power_of_two_and_cap(self):
+        class Stretched:
+            """Scalar states; an interpolant at s lies sqrt(7) s from the
+            start, so the first inequality needs (7 - 1) / (1 + 1) = 3."""
+
+            def energy(self, u):
+                return 0.0
+
+            def metric(self, a, b):
+                d = abs(float(b[0] - a[0]))
+                return np.sqrt(7.0) * d if 0.0 < b[0] < 1.0 else d
+
+        rep = geodesic_convexity_check(Stretched(), [np.zeros(1)], [np.ones(1)], 3, c_max=3.5)
+        assert rep.summary["C"] == pytest.approx(3.0, rel=1e-9)
+
 
 class TestSlopeConsistency:
     def test_equilibrium_zeros(self):
