@@ -23,7 +23,7 @@ u0 = system.interpolate((0.0,), (0.0,), tuple((1.2 * bump).coef), (0.0,))
 print("tau      steps   phi(0)      phi(T)      R(tau)")
 for tau in (0.08, 0.04, 0.02, 0.01):
     traj = run_trajectory(system, u0, tau, 0.8)
-    led = dissipation_ledger(system, traj, system.local_slope)
+    led = dissipation_ledger(system, traj)
     print(
         f"{tau:<8} {traj.n_steps:<7} {traj.reports[0].energy:<11.6f} "
         f"{traj.reports[-1].energy:<11.6f} {led.residual:+.3e}"

@@ -20,7 +20,7 @@ rng = np.random.default_rng(0)
 u = system.zero_state()
 u[system.free] += 0.3 * rng.standard_normal(int(system.free.sum()))
 
-sol = system.local_slope(u, detailed=True)
+sol = system.slope_solution(u)
 print("slope (SPD solve)      :", sol.value)
 print("slope (representation) :", sol.representation)
 print("max test-basis pairing of L:", sol.orthogonality, " (|L| =", sol.L_norm, ")")

@@ -805,8 +805,9 @@ def _row_index(rows):
 
 class FieldSystem:
     """What the ribbon and plate systems share: packed named fields with
-    Dirichlet constraints, dead loads, the metric, the weak residual, and
-    every energy, distance, gradient and Hessian, built on ElementTables.
+    Dirichlet constraints, dead loads, the metric, the weak residual, the
+    local slope, and every energy, distance, gradient and Hessian, built on
+    ElementTables.
 
     A subclass declares its strain: the channels s (E, nq, ns) are the
     element rows ``LINEAR_ROWS``, plus 1/2 g_a g_b on membrane channel k
@@ -951,6 +952,36 @@ class FieldSystem:
             self._forms = self._slope_forms()
         rem = self._hessian_density(ch, self._stress(ch, ch_a, cw, cr), cw, cr)
         return self._plan.assemble(rem, cw, cr)
+
+    def _linearized(self, ch, du: np.ndarray) -> np.ndarray:
+        """ds/du . du at channels ch, (E, nq, ns): the linear rows of du plus
+        1/2 (g_a dg_b + dg_a g_b) on the membrane channel of the pair (a, b),
+        dg being the slopes of du."""
+        R = self._tables.evaluate(du)
+        g, dg, ga, gb = ch[1], R[..., self._slope], self._ga, self._gb
+        h = R[..., self._linear]
+        h[..., :len(self._D2)] += 0.5 * (g[..., ga] * dg[..., gb] + dg[..., ga] * g[..., gb])
+        return h
+
+    def _slope_solve(self, ch):
+        """(|dphi|, h*) at channels ch, h* (free DOFs) solving K h* = g with K
+        the Hessian of D^2(u, .)/2 at u and g the energy gradient."""
+        g = self._gradient(ch, ch, 1.0, 0.0)[self.free]
+        K = self._hessian(ch, ch, 0.0, 1.0)
+        solve = self._plan.factor(K)
+        if solve is None:
+            raise FemError("metric tensor not positive definite at u")
+        hstar = solve(g)
+        return float(np.sqrt(max(float(np.dot(g, hstar)), 0.0))), hstar
+
+    def local_slope(self, u: np.ndarray) -> float:
+        """Local slope |dphi|(u) via the auxiliary quadratic problem.
+
+        K, the metric tensor at u, is positive definite on the zero-trace
+        test space; |dphi|(u)^2 = max_h (2 g . h - h . K h) = g . K^{-1} g.
+        Raises FemError when the band Cholesky rejects K, as it does at a
+        non-finite u."""
+        return self._slope_solve(self._channels(u))[0]
 
     def energy(self, u: np.ndarray) -> float:
         return self._form(self._channels(u)[0], self.QW) - float(np.dot(self._force, u))

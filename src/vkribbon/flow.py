@@ -74,6 +74,8 @@ class GradientSystem(Protocol):
     later steps, so it must stay valid when H and the problem are gone.
     D^2 must be symmetric, nonnegative and zero exactly on the diagonal; the
     gradients must be consistent with finite differences of the values.
+    ``dissipation_ledger`` also needs ``local_slope(u)`` -> |dphi|(u),
+    which the field systems inherit from FieldSystem.
     """
 
     n_dofs: int
@@ -316,6 +318,8 @@ def run_trajectory(
     free DOFs at the accepted point; a slope evaluator fills the ledger
     column used by the De Giorgi bookkeeping.
     """
+    if tau <= 0.0:
+        raise ValueError("tau must be positive")
     if T <= 0.0:
         raise ValueError("horizon T must be positive")
     opts = options or SolverOptions()
@@ -363,9 +367,9 @@ class DissipationLedger:
     rows: list = field(default_factory=list)
 
 
-def dissipation_ledger(
-    system: GradientSystem, traj: Trajectory, slope_fn: Callable[[np.ndarray], float]
-) -> DissipationLedger:
+def dissipation_ledger(system: GradientSystem, traj: Trajectory) -> DissipationLedger:
+    """The ledger of traj; a step whose report carries no slope gets
+    ``system.local_slope`` of its state."""
     tau = traj.tau
     vel = 0.0
     slo = 0.0
@@ -374,7 +378,7 @@ def dissipation_ledger(
         rep = traj.reports[n]
         s = rep.slope
         if not np.isfinite(s):
-            s = float(slope_fn(traj.states[n]))
+            s = float(system.local_slope(traj.states[n]))
         vel += 0.5 * tau * (rep.dist / tau) ** 2
         slo += 0.5 * tau * s**2
         rows.append((n, n * tau, rep.dist, s, rep.energy))

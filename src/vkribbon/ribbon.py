@@ -21,12 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.polynomial import Polynomial
 
 from .fem import (
     BoundaryData,
-    FemError,
     FieldSystem,
     Hermite3Space,
     Mesh1D,
@@ -96,13 +94,16 @@ class ChannelSamples:
 
 @dataclass
 class SlopeSolution:
-    """Local slope of the energy with the auxiliary-problem diagnostics.
+    """The ribbon's slope representation (RibbonSystem.slope_solution).
 
-    ``value`` is |dphi|(u); ``minimizer`` the solution of the quadratic
-    auxiliary problem on the zero-trace test space; ``representation``
-    the same number recomputed from the pointwise operator field
-    L = Cbar_R H(u*) - Cbar_W G; ``orthogonality`` the largest pairing
-    of L against the discrete test basis.
+    ``value`` is |dphi|(u), bitwise FieldSystem.local_slope(u);
+    ``minimizer`` u*, the solution of the quadratic auxiliary problem on the
+    zero-trace test space, as a full-size vector; ``L`` the pointwise
+    operator field L = Cbar_R H(u*) - Cbar_W G, its transverse-average and
+    moment parts; ``representation`` |dphi|(u) recomputed from L through
+    the inverse square root of Cbar_R; ``orthogonality`` the largest
+    pairing of L with the discrete test basis, the residual of the
+    auxiliary problem; ``L_norm`` the L2 norm of L.
     """
 
     value: float
@@ -189,11 +190,6 @@ class RibbonSystem(FieldSystem):
     def channels(self, u: np.ndarray) -> ChannelSamples:
         return ChannelSamples(*self._channels(u)[0].reshape(-1, 4).T)
 
-    def h_channels(self, du: np.ndarray, w_anchor_prime: np.ndarray) -> ChannelSamples:
-        """Linearized channels H(du | w): membrane slot xi1' + w' * dw'."""
-        R = self.rows(du)
-        return ChannelSamples(R[:, 0] + w_anchor_prime * R[:, 2], R[:, 1], R[:, 3], R[:, 4])
-
     # -- energy / metric ----------------------------------------------------
 
     def energy_parts(self, u: np.ndarray) -> dict:
@@ -242,38 +238,20 @@ class RibbonSystem(FieldSystem):
         coupling[0, 2] = coupling[2, 0] = coupling[3, 4] = coupling[4, 3] = True
         return dofs, rows, coupling
 
-    # -- local slope ----------------------------------------------------------
+    # -- slope representation ---------------------------------------------
 
-    def metric_tensor(self, u: np.ndarray) -> sp.csc_matrix:
-        """Hessian of v -> D^2(u, v)/2 at v = u; SPD on the free DOFs."""
-        return self.hess_halfsqdist(u, u)
-
-    def local_slope(self, u: np.ndarray, detailed: bool = False):
-        """Local slope |dphi|(u) via the auxiliary quadratic problem.
-
-        Solves  K h* = g  with K the metric tensor at u and g the energy
-        gradient, both restricted to the zero-trace test space; then
-        |dphi|(u)^2 = g . h*.  Raises FemError when the band Cholesky
-        rejects K, as it does at a non-finite u.  With ``detailed`` the
-        operator field L and its orthogonality/representation diagnostics
-        are returned.
-        """
+    def slope_solution(self, u: np.ndarray) -> SlopeSolution:
+        """local_slope(u) with the minimizer u* of its auxiliary problem and
+        the diagnostics of the operator field L = Cbar_R H(u*) - Cbar_W G,
+        H(u*) the channels linearized at u in the direction u*.  Raises
+        FemError where local_slope does."""
         ch = self._channels(u)
-        g = self._gradient(ch, ch, 1.0, 0.0)[self.free]
-        K = self._hessian(ch, ch, 0.0, 1.0)
-        solve = self._plan.factor(K)
-        if solve is None:
-            raise FemError("metric tensor not positive definite at u")
-        hstar = solve(g)
-        slope_sq = float(np.dot(g, hstar))
-        value = float(np.sqrt(max(slope_sq, 0.0)))
-        if not detailed:
-            return value
-
+        value, hstar = self._slope_solve(ch)
         full = np.zeros(self.n_dofs)
         full[self.free] = hstar
         m = self.material
-        H = self.h_channels(full, ch[1].ravel())
+        lin = self._linearized(ch, full)
+        H = ChannelSamples(*lin.reshape(-1, 4).T)
         G = ChannelSamples(*ch[0].reshape(-1, 4).T)
         # L = Cbar_R H(u*) - Cbar_W G, split into transverse-average and
         # moment parts of the first channel
@@ -282,30 +260,24 @@ class RibbonSystem(FieldSystem):
         vG = np.stack([G.a, G.kappa, G.t], axis=-1)
         L_avg = vH @ CR.T - vG @ CW.T
         L_m = CR[0, 0] * H.m - CW[0, 0] * G.m
-        l_norm = float(
-            np.sqrt(
-                np.dot(self.wq, np.einsum("qi,qi->q", L_avg, L_avg))
-                + BEND_FACTOR * np.dot(self.wq, L_m**2)
-            )
-        )
+
+        def integral(avg, moment):  # int |avg|^2 + int |moment|^2 / 12
+            a, b = (np.dot(self.wq, np.einsum("qi,qi->q", v, v)) for v in (avg, moment))
+            return a + BEND_FACTOR * b
+
+        l_norm = float(np.sqrt(integral(L_avg, L_m[:, None])))
         # representation: | sqrt(CR)^{-1} (Cbar_W G + L) | = | sqrt(CR) H(u*) |
         z = vG @ CW.T + L_avg
         z_m = CW[0, 0] * G.m + L_m
         inv = m.Rbar.invsqrt
-        r = z @ inv.T
-        r_m = inv[:, 0] * z_m[:, None]
-        rep_sq = np.dot(self.wq, np.einsum("qi,qi->q", r, r)) + BEND_FACTOR * np.dot(
-            self.wq, np.einsum("qi,qi->q", r_m, r_m)
-        )
-        representation = float(np.sqrt(max(rep_sq, 0.0)))
-        resid = K.tocsc() @ hstar - g
-        orto = float(np.abs(resid).max()) if resid.size else 0.0
-        if not (
-            abs(representation - value) <= 1e-10 * max(value, 1.0)
-        ):
-            raise AssertionError(
-                f"slope representation mismatch: {representation} vs {value}"
-            )
+        representation = float(np.sqrt(max(integral(z @ inv.T, inv[:, 0] * z_m[:, None]), 0.0)))
+        # the pairing of L with the test basis is the residual K u* - g
+        t = self._tables
+        stress = self._row_stress(ch, lin @ self.QR - ch[0] @ self.QW)
+        resid = (t.scatter(stress * t.weights[:, None]) + self._force)[self.free]
+        orto = float(np.abs(resid).max(initial=0.0))
+        if not abs(representation - value) <= 1e-10 * max(value, 1.0):
+            raise AssertionError(f"slope representation mismatch: {representation} vs {value}")
         return SlopeSolution(
             value=value,
             minimizer=full,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import BoundaryData, Mesh1D, Mesh2D
+from .fem import BoundaryData, FieldSystem, Mesh1D, Mesh2D
 from .flow import SolverOptions, Trajectory, dissipation_ledger, run_trajectory
 from .forms import MaterialPair
 from .plate import PlateSystem, RecoveryInputs, build_recovery
@@ -70,7 +70,7 @@ def require_hypothesis(material: MaterialPair, study: str) -> None:
 
 
 def tau_study(
-    system: RibbonSystem,
+    system: FieldSystem,
     u0: np.ndarray,
     tau_list,
     T: float,
@@ -89,15 +89,11 @@ def tau_study(
         kind="tau_study",
         columns=["tau", "t", "dist_to_half_step", "energy", "degiorgi_residual"],
     )
-    trajectories = {}
-    for tau in taus:
-        trajectories[tau] = run_trajectory(
-            system, u0, tau, T, options, slope_fn=system.local_slope
-        )
-    residuals = {
-        tau: dissipation_ledger(system, traj, system.local_slope).residual
-        for tau, traj in trajectories.items()
+    trajectories = {
+        tau: run_trajectory(system, u0, tau, T, options, slope_fn=system.local_slope)
+        for tau in taus
     }
+    residuals = {t: dissipation_ledger(system, traj).residual for t, traj in trajectories.items()}
     times = [f * T for f in SAMPLE_FRACTIONS]
     sups = {}
     for t1, t2 in zip(taus, taus[1:]):
@@ -411,18 +407,10 @@ def slope_consistency(system: RibbonSystem, traj: Trajectory) -> StudyReport:
     )
     tau = traj.tau
     for n in range(1, traj.n_steps + 1):
-        u = traj.states[n]
-        sol = system.local_slope(u, detailed=True)
+        sol = system.slope_solution(traj.states[n])
         rate_sq = (traj.reports[n].dist / tau) ** 2
         ratio = sol.value**2 / rate_sq if rate_sq > 0 else float("nan")
-        report.add(
-            n,
-            n * tau,
-            sol.value**2,
-            rate_sq,
-            ratio,
-            abs(sol.representation - sol.value),
-        )
+        report.add(n, n * tau, sol.value**2, rate_sq, ratio, abs(sol.representation - sol.value))
     ratios = report.column("ratio")
     report.summary = {"final_ratio": float(ratios[-1]) if ratios.size else float("nan")}
     return report

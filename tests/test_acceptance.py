@@ -167,7 +167,7 @@ def degiorgi_runs():
 def test_criterion_05_degiorgi_refinement(degiorgi_runs):
     system, runs = degiorgi_runs
     residuals = {
-        tau: dissipation_ledger(system, traj, system.local_slope).residual
+        tau: dissipation_ledger(system, traj).residual
         for tau, traj in runs.items()
     }
     ratios = []
@@ -208,7 +208,7 @@ def test_criterion_07_slope_machinery():
     for _ in range(10):
         u = system.zero_state()
         u[system.free] += 0.3 * rng.standard_normal(int(system.free.sum()))
-        sol = system.local_slope(u, detailed=True)
+        sol = system.slope_solution(u)
         worst_rep = max(worst_rep, abs(sol.representation - sol.value) / max(sol.value, 1e-30))
         worst_orth = max(worst_orth, sol.orthogonality / max(sol.L_norm, 1e-30))
         assert abs(sol.representation - sol.value) <= 1e-10 * max(sol.value, 1e-30)

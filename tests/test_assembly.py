@@ -170,10 +170,9 @@ def test_band_hessian_matches_full_density_reference(name):
         (s.incremental(anchor, TAU).hessian(u).tocsc(), anchor, 1.0, 1.0 / TAU),
         (s.hess_energy(u)[free][:, free], anchor, 1.0, 0.0),
         (s.hess_halfsqdist(anchor, u)[free][:, free], anchor, 0.0, 1.0),
+        # the metric tensor of local_slope
+        (s.hess_halfsqdist(u, u)[free][:, free], u, 0.0, 1.0),
     ]
-    if isinstance(s, RibbonSystem):
-        # the slope metric of local_slope
-        cases.append((s.metric_tensor(u)[free][:, free], u, 0.0, 1.0))
     for H, a, cw, cr in cases:
         ref = reference_hessian(s, full_density(s, a, u, cw, cr))
         assert np.abs(H.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -245,7 +244,7 @@ def test_diagnostics_build_no_sampling_matrix(monkeypatch):
     assert calls == ["Hermite3Space"]
     calls.clear()
     p.project(u), p.d0_projected(u, r, v), studies._projection_diag(p, u)
-    r.local_slope(v, detailed=True), r.sobolev_gap(v, v2)
+    r.slope_solution(v), r.sobolev_gap(v, v2)
     assert calls == []
 
 

@@ -1,8 +1,4 @@
-"""The demo scripts run to completion against the package's public names.
-
-Demo 05 (the 2D dimension-reduction sweep) is left out for its run time;
-acceptance criterion 09 runs the same path.
-"""
+"""The demo scripts run to completion against the package's public names."""
 
 import os
 import subprocess
@@ -17,6 +13,7 @@ DEMOS = [
     "02_ribbon_flow.py",
     "03_slope_representation.py",
     "04_gamma_limsup.py",
+    "05_dimension_reduction.py",
     "06_commutativity.py",
 ]
 

@@ -160,6 +160,12 @@ class TestTrajectory:
         assert traj.index_at(0.26) == 2
         assert traj.index_at(1.0) == 4
 
+    @pytest.mark.parametrize("tau", [-0.01, 0.0])
+    def test_nonpositive_tau_rejected(self, tau):
+        s, u0 = xi2_system(n=8)
+        with pytest.raises(ValueError, match="tau must be positive"):
+            run_trajectory(s, u0, tau, 0.1)
+
     def test_kkt_residual_checked(self):
         s, u0 = xi2_system(n=8)
         traj = run_trajectory(s, u0, 0.05, 0.2)
@@ -171,7 +177,7 @@ class TestDissipationLedger:
         s, _ = xi2_system()
         z = s.zero_state()
         traj = run_trajectory(s, z, 0.1, 0.3)
-        led = dissipation_ledger(s, traj, s.local_slope)
+        led = dissipation_ledger(s, traj)
         assert led.velocity_term == 0.0
         assert led.slope_term == 0.0
         assert led.residual == 0.0
@@ -182,7 +188,7 @@ class TestDissipationLedger:
         n, tau, T = 12, 0.02, 0.4
         s, u0 = xi2_system(n=n)
         traj = run_trajectory(s, u0, tau, T)
-        led = dissipation_ledger(s, traj, s.local_slope)
+        led = dissipation_ledger(s, traj)
 
         K = hermite_beam_stiffness(n, 1.0)
         xi0 = u0[s.slices["xi2"]]
@@ -208,7 +214,7 @@ class TestDissipationLedger:
         residuals = []
         for tau in (0.08, 0.04):
             traj = run_trajectory(s, u0, tau, 0.8)
-            residuals.append(abs(dissipation_ledger(s, traj, s.local_slope).residual))
+            residuals.append(abs(dissipation_ledger(s, traj).residual))
         assert residuals[1] <= 0.7 * residuals[0]
 
 

@@ -185,9 +185,9 @@ def test_no_reference_cycle_keeps_a_system_alive(name):
         incremental_step(s, TAU, u, SolverOptions(tol=1e-8), chord=chord)
         traj = run_trajectory(s, u, TAU, 3 * TAU, SolverOptions(tol=1e-8))
         assert chord.solve is not None and sum(r.factorizations for r in traj.reports) > 0
-        s.hess_energy(u), s.grad_energy(u), s.energy(u)
+        s.hess_energy(u), s.grad_energy(u), s.energy(u), s.local_slope(u)
         if isinstance(s, RibbonSystem):
-            s.local_slope(u, detailed=True)
+            s.slope_solution(u)
         ref = weakref.ref(s)
         del s
         assert ref() is None

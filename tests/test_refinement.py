@@ -66,7 +66,7 @@ def test_ribbon_energy_converges_at_second_order(ribbon_runs):
 
 def test_ribbon_de_giorgi_residual_converges_at_second_order(ribbon_runs):
     residuals = [
-        dissipation_ledger(s, traj, s.local_slope).residual
+        dissipation_ledger(s, traj).residual
         for s, traj in (ribbon_runs[n] for n in RIBBON_MESHES)
     ]
     orders = observed_orders(residuals)

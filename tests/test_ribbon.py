@@ -1,12 +1,16 @@
-"""Ribbon system: energies, metric, gradients, slope machinery, recovery shift."""
+"""Ribbon system: energies, metric, gradients, slope machinery, recovery shift.
+
+The channel expansion and the local slope are FieldSystem code; they are
+checked on the plate as well."""
 
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from vkribbon.fem import BoundaryData, FemError, Mesh1D
+from vkribbon.fem import BoundaryData, FemError, Mesh1D, Mesh2D
 from vkribbon.forms import MaterialPair
-from vkribbon.ribbon import RibbonForces, RibbonSystem, mutual_shift
+from vkribbon.plate import PlateSystem, RecoveryInputs, build_recovery
+from vkribbon.ribbon import ChannelSamples, RibbonForces, RibbonSystem, mutual_shift
 
 BUMP = Polynomial.fromroots([-0.5, -0.5, 0.5, 0.5])  # (x^2 - 1/4)^2
 
@@ -119,14 +123,31 @@ class TestChannelExpansion:
         Gu = system.channels(u)
         Gv = system.channels(v)
         B1 = system.h3.sample_matrix(system.quad, 1)
-        wprime_u = B1 @ u[system.slices["w"]]
-        dwprime = wprime_u - B1 @ v[system.slices["w"]]
-        H = system.h_channels(u - v, wprime_u)
+        dwprime = B1 @ u[system.slices["w"]] - B1 @ v[system.slices["w"]]
+        H = ChannelSamples(*system._linearized(system._channels(u), u - v).reshape(-1, 4).T)
         scale = 1.0 + max(np.abs(Gu.m).max(), np.abs(Gu.kappa).max())
         assert np.abs((Gu.a - Gv.a) - (H.a - 0.5 * dwprime**2)).max() < 1e-12 * scale
         assert np.abs((Gu.m - Gv.m) - H.m).max() < 1e-12 * scale
         assert np.abs((Gu.kappa - Gv.kappa) - H.kappa).max() < 1e-12 * scale
         assert np.abs((Gu.t - Gv.t) - H.t).max() < 1e-12 * scale
+
+    def test_plate_g_minus_g_equals_h_minus_quadratic(self, mat_h1):
+        # G(u) - G(v) = H(u - v | u) - ((dg1^2, dg1 dg2, dg2^2), 0) / 2 pointwise,
+        # dg = grad_eps (w_u - w_v) from the BFS sampling matrices
+        p = PlateSystem(Mesh2D(l=1.0, nx=12, ny=4), 0.1, mat_h1)
+        rng = np.random.default_rng(27)
+        u = random_state(p, rng)
+        v = random_state(p, rng)
+        dw = (u - v)[p.slices["w"]]
+        dg1 = p.bfs.sample_matrix(p.quad, 1, 0) @ dw
+        dg2 = p.bfs.sample_matrix(p.quad, 0, 1) @ dw / p.eps
+        quadratic = np.zeros((p.quad.n_points, 6))
+        quadratic[:, :3] = 0.5 * np.stack([dg1**2, dg1 * dg2, dg2**2], axis=-1)
+        Gu = p.quad.by_point(p._channels(u)[0])
+        Gv = p.quad.by_point(p._channels(v)[0])
+        H = p.quad.by_point(p._linearized(p._channels(u), u - v))
+        scale = 1.0 + np.abs(Gu).max()
+        assert np.abs((Gu - Gv) - (H - quadratic)).max() < 1e-12 * scale
 
 
 class TestGradients:
@@ -193,30 +214,50 @@ class TestGradients:
             )
 
 
+def pure_xi2_ribbon():
+    s = RibbonSystem(Mesh1D(l=1.0, n=12), MaterialPair.isotropic(1.0, 0.0, 2.0, 0.0))
+    u = s.zero_state()
+    u[s.slices["xi2"]] = s.h3.interpolate(BUMP, BUMP.deriv())
+    u[s.bc_mask] = s.bc_values[s.bc_mask]
+    return s, u
+
+
+def recovered_plate():
+    # the recovery of the quick-start datum xi2 = (x^2 - 1/4)^2
+    mat = MaterialPair.isotropic(1.0, 0.0, 1.0, 0.0)
+    r = RibbonSystem(Mesh1D(l=1.0, n=12), mat)
+    p = PlateSystem(Mesh2D(l=1.0, nx=24, ny=4), 0.1, mat)
+    v = r.interpolate((0.0,), tuple(BUMP.coef), (0.0,), (0.0,))
+    return p, build_recovery(p, RecoveryInputs(target=r.state(v)))
+
+
 class TestSlope:
-    def test_zero_state_zero_slope(self, system):
-        assert system.local_slope(system.zero_state()) == 0.0
+    @pytest.fixture(params=["ribbon", "plate"])
+    def slope_case(self, request):
+        return {"ribbon": pure_xi2_ribbon, "plate": recovered_plate}[request.param]()
 
-    def test_rejected_metric_tensor_raises(self, system):
+    def test_zero_state_zero_slope(self, slope_case):
+        s, _ = slope_case
+        assert s.local_slope(s.zero_state()) == 0.0
+
+    def test_non_finite_state_raises(self, slope_case):
+        s, _ = slope_case
         with pytest.raises(FemError, match="not positive definite"):
-            system.local_slope(np.full(system.n_dofs, np.nan))
+            s.local_slope(np.full(s.n_dofs, np.nan))
 
-    def test_pure_xi2_dense_oracle(self, mesh):
-        mat = MaterialPair.isotropic(1.0, 0.0, 2.0, 0.0)
-        s = RibbonSystem(mesh, mat)
-        u = s.zero_state()
-        u[s.slices["xi2"]] = s.h3.interpolate(BUMP, BUMP.deriv())
-        u[s.bc_mask] = s.bc_values[s.bc_mask]
+    def test_dense_oracle(self, slope_case):
+        s, u = slope_case
         # dense oracle: slope^2 = g^T K^{-1} g on the assembled matrices
         g = s.grad_energy(u)[s.free]
-        K = s.metric_tensor(u)[s.free][:, s.free].toarray()
+        K = s.hess_halfsqdist(u, u)[s.free][:, s.free].toarray()
         expect = float(g @ np.linalg.solve(K, g))
-        assert s.local_slope(u) ** 2 == pytest.approx(expect, rel=1e-10)
+        assert expect > 0.0
+        assert s.local_slope(u) == pytest.approx(np.sqrt(expect), rel=1e-12)
 
     def test_representation_and_orthogonality(self, system):
         rng = np.random.default_rng(16)
         u = random_state(system, rng)
-        sol = system.local_slope(u, detailed=True)
+        sol = system.slope_solution(u)
         assert sol.representation == pytest.approx(sol.value, rel=1e-10)
         assert sol.orthogonality <= 1e-8 * max(sol.L_norm, 1e-30)
 

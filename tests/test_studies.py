@@ -6,8 +6,9 @@ from numpy.polynomial import Polynomial
 
 from vkribbon import studies
 from vkribbon.fem import BoundaryData, Mesh1D, Mesh2D
-from vkribbon.flow import dissipation_ledger, run_trajectory
+from vkribbon.flow import SolverOptions, dissipation_ledger, run_trajectory
 from vkribbon.forms import MaterialPair
+from vkribbon.plate import PlateSystem, RecoveryInputs, build_recovery
 from vkribbon.ribbon import RibbonForces, RibbonSystem
 from vkribbon.studies import (
     HypothesisError,
@@ -101,6 +102,16 @@ class TestTauStudy:
         res = rep.summary["residuals"]
         assert abs(res[0.04]) < abs(res[0.08])
         assert abs(res[0.02]) < abs(res[0.04])
+
+    def test_plate_degiorgi_residual_first_order(self):
+        # the plate's ledger reads FieldSystem.local_slope, as the ribbon's does
+        r = RibbonSystem(Mesh1D(l=1.0, n=24), H1)
+        p = PlateSystem(Mesh2D(l=1.0, nx=24, ny=4), 0.1, H1)
+        v = r.interpolate((0.0,), (0.0,), tuple(BUMP.coef), (0.0,))
+        recovery = build_recovery(p, RecoveryInputs(target=r.state(v)))
+        rep = tau_study(p, recovery, [0.04, 0.02, 0.01], 0.2, SolverOptions(tol=1e-8))
+        assert all(res < 0.0 for res in rep.summary["residuals"].values())
+        assert 0.8 <= rep.summary["residual_order"] <= 1.2
 
 
 class TestEpsilonStudy:
