@@ -29,7 +29,6 @@ _EXPORTS = {
         "Quadrature2D",
         "dirichlet_1d",
         "dirichlet_2d",
-        "scaled_operators_2d",
     ),
     "flow": (
         "Chord",
@@ -58,7 +57,7 @@ _EXPORTS = {
         "reduce_to_1",
     ),
     "plate": ("PlateState", "PlateSystem", "RecoveryInputs", "build_recovery"),
-    "ribbon": ("RibbonForces", "RibbonState", "RibbonSystem", "SlopeSolution", "mutual_shift"),
+    "ribbon": ("RibbonForces", "RibbonState", "RibbonSystem", "SlopeSolution"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_HOME)

@@ -498,6 +498,9 @@ def _evaluate_2d(space, coeffs, x, y, dx, dy):
 
 
 def poly_from_coeffs(coeffs) -> Polynomial:
+    """A Polynomial from its coefficients; a Polynomial is returned as is."""
+    if isinstance(coeffs, Polynomial):
+        return coeffs
     c = np.atleast_1d(np.asarray(coeffs, dtype=float))
     if c.size == 0:
         c = np.array([0.0])
@@ -596,46 +599,6 @@ def check_traces(u: np.ndarray, mask: np.ndarray, values: np.ndarray, tol: float
     gap = np.abs(u[mask] - values[mask])
     if gap.size and gap.max() > tol:
         raise ValueError(f"state violates boundary data by {gap.max():.3e}")
-
-
-# ---------------------------------------------------------------------------
-# scaled differential operators
-
-
-def scaled_operators_2d(mesh: Mesh2D, eps: float, fields: dict, points) -> dict:
-    """Sample the scaled operators E^eps y, grad_eps w, hess_eps w.
-
-    ``fields`` holds coefficient vectors for "y1", "y2" (Q1) and "w" (BFS);
-    ``points`` is an (npts, 2) array.  The 1/eps and 1/eps^2 factors sit on
-    the transverse derivatives exactly as in the scaled formulation.
-    Returns symmetric matrices in (11, 12, 22) component order.
-    """
-    if eps <= 0.0:
-        raise FemError(f"scaled operators: eps must be positive, got {eps}")
-    pts = np.asarray(points, dtype=float)
-    x, y = pts[..., 0].ravel(), pts[..., 1].ravel()
-    q1 = Q1Space(mesh)
-    bfs = BFSSpace(mesh)
-    d1y1 = q1.evaluate(fields["y1"], x, y, 1, 0)
-    d2y1 = q1.evaluate(fields["y1"], x, y, 0, 1)
-    d1y2 = q1.evaluate(fields["y2"], x, y, 1, 0)
-    d2y2 = q1.evaluate(fields["y2"], x, y, 0, 1)
-    E = np.stack(
-        [d1y1, (d2y1 + d1y2) / (2.0 * eps), d2y2 / eps**2], axis=-1
-    )
-    w = fields["w"]
-    grad = np.stack(
-        [bfs.evaluate(w, x, y, 1, 0), bfs.evaluate(w, x, y, 0, 1) / eps], axis=-1
-    )
-    hess = np.stack(
-        [
-            bfs.evaluate(w, x, y, 2, 0),
-            bfs.evaluate(w, x, y, 1, 1) / eps,
-            bfs.evaluate(w, x, y, 0, 2) / eps**2,
-        ],
-        axis=-1,
-    )
-    return {"E": E, "grad_w": grad, "hess_w": hess}
 
 
 # ---------------------------------------------------------------------------
@@ -1019,9 +982,6 @@ class FieldSystem:
         if tau <= 0.0:
             raise ValueError("tau must be positive")
         return self.grad_energy(nxt) + self.grad_halfsqdist(prev, nxt) / tau
-
-    def weak_residual(self, prev, nxt, tau: float) -> float:
-        return float(np.linalg.norm(self.weak_residual_vector(prev, nxt, tau)))
 
 
 class IncrementalProblem:

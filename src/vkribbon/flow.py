@@ -128,6 +128,12 @@ class StepReport:
     factorizations: int = 0  # fresh Hessians assembled and factored
 
 
+# the columns of Trajectory.ledger_rows, the header of ledger.csv
+LEDGER_COLUMNS = (
+    "n", "t", "energy", "step_dist", "slope", "phi_residual", "newton_iters", "factorizations"
+)
+
+
 @dataclass
 class Trajectory:
     """Minimizing-movement iterates with the per-step ledger.
@@ -158,8 +164,7 @@ class Trajectory:
         return np.array([r.energy for r in self.reports])
 
     def ledger_rows(self):
-        """Rows (n, t, energy, step_dist, slope, phi_residual, newton_iters,
-        factorizations)."""
+        """One row of LEDGER_COLUMNS per state."""
         rows = []
         for n, r in enumerate(self.reports):
             rows.append(

@@ -200,15 +200,11 @@ def h2_family_matrix(q1_R: QuadForm1, eps: float) -> np.ndarray:
 _CLASSIFY_GRID = np.array([-1.0, -0.35, 0.4, 1.0])
 
 
-def _argmins_vanish(q2: QuadForm2, q1: QuadForm1) -> bool:
-    scale = np.abs(q2.C).max()
-    alpha_zero = np.abs(q2.C[:2, 2]).max() <= 1e-13 * scale
-    z_zero = abs(q1.C[0, 1]) <= 1e-13 * scale
-    return bool(alpha_zero and z_zero)
-
-
-def _z_argmin_vanishes(q1: QuadForm1) -> bool:
-    return abs(q1.C[0, 1]) <= 1e-13 * np.abs(q1.C).max()
+def _argmins_vanish(q1: QuadForm1, q2: QuadForm2 | None = None) -> bool:
+    """The couplings behind z* of q1, and behind alpha* of q2 when q2 is
+    given, vanish relative to the largest entry of q2, else of q1."""
+    ref, coupling = (q1, [q1.C[0, 1]]) if q2 is None else (q2, [q1.C[0, 1], *q2.C[:2, 2]])
+    return bool(np.abs(coupling).max() <= 1e-13 * np.abs(ref.C).max())
 
 
 def _family_limit_holds(pair: "MaterialPair") -> bool:
@@ -282,10 +278,8 @@ def classify_hypothesis(pair: MaterialPair) -> str:
     viscous form collapses onto Q1_R in the limit (verified on a sample
     grid).  Everything else is "none".
     """
-    W1 = reduce_to_1(pair.W)
-    R1 = reduce_to_1(pair.R)
-    if _argmins_vanish(pair.W, W1) and _argmins_vanish(pair.R, R1):
+    if _argmins_vanish(pair.W1, pair.W) and _argmins_vanish(pair.R1, pair.R):
         return "H1"
-    if _z_argmin_vanishes(W1) and _z_argmin_vanishes(R1) and _family_limit_holds(pair):
+    if _argmins_vanish(pair.W1) and _argmins_vanish(pair.R1) and _family_limit_holds(pair):
         return "H2"
     return "none"

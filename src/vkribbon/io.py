@@ -14,6 +14,7 @@ import time
 import numpy as np
 
 from .fem import Mesh1D, Mesh2D
+from .flow import LEDGER_COLUMNS
 from .plate import PlateState
 from .ribbon import RibbonState
 
@@ -60,20 +61,7 @@ def write_csv(path, columns, rows, summary: dict | None = None) -> None:
 
 def write_ledger(path, trajectory) -> None:
     """Per-step ledger with the documented schema."""
-    write_csv(
-        path,
-        [
-            "n",
-            "t",
-            "energy",
-            "step_dist",
-            "slope",
-            "phi_residual",
-            "newton_iters",
-            "factorizations",
-        ],
-        trajectory.ledger_rows(),
-    )
+    write_csv(path, LEDGER_COLUMNS, trajectory.ledger_rows())
 
 
 # ---------------------------------------------------------------------------

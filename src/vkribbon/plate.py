@@ -130,14 +130,6 @@ class PlateSystem(FieldSystem):
         q = self.quad
         return q.by_point(s[..., :3]), q.by_point(g), q.by_point(s[..., 3:])
 
-    def energy_parts(self, u: np.ndarray) -> dict:
-        s, _ = self._channels(u)
-        return {
-            "membrane": self._form(s[..., :3], self.QW[:3, :3]),
-            "bending": self._form(s[..., 3:], self.QW[3:, 3:]),
-            "force": float(np.dot(self._force, u)),
-        }
-
     def _element_rows(self):
         """Element DOFs (y1 | y2 | w) and reference rows: the linear strain
         (E11, E12, E22), the scaled deflection gradient (g1, g2) and the
@@ -159,21 +151,6 @@ class PlateSystem(FieldSystem):
         coupling = np.ones((8, 8), dtype=bool)
         coupling[:3, 5:] = coupling[5:, :3] = False
         return dofs, rows, coupling
-
-    # -- projection onto ribbon variables -----------------------------------------
-
-    def project(self, u: np.ndarray) -> dict:
-        """pi_eps at the quadrature points: the scaled fields plus the twist
-        channel d2 w / eps, both raw and transverse-averaged."""
-        R = self.rows(u)
-        q = self.quad
-        twist_raw, dtwist_raw = R[:, 4], R[:, 6]
-        return {
-            "x_stations": q.x_stations(),
-            "theta_bar": q.x2_average(twist_raw),
-            "dtheta_bar": q.x2_average(dtwist_raw),
-            "twist_raw": twist_raw,
-        }
 
     def d0_projected(self, u: np.ndarray, ribbon: RibbonSystem, v: np.ndarray) -> float:
         """Effective 1D distance between pi_eps of a plate state and a ribbon state.

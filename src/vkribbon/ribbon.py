@@ -73,42 +73,18 @@ class RibbonState:
 
 
 @dataclass
-class ChannelSamples:
-    """Strain channels at the quadrature points.
-
-    ``a`` is the transverse average of the first channel; ``m`` its
-    x2-moment channel (the xi2'' samples); ``kappa`` and ``t`` are the
-    bending and twist channels w'' and theta'.
-    """
-
-    a: np.ndarray
-    m: np.ndarray
-    kappa: np.ndarray
-    t: np.ndarray
-
-    def minus(self, other: "ChannelSamples") -> "ChannelSamples":
-        return ChannelSamples(
-            self.a - other.a, self.m - other.m, self.kappa - other.kappa, self.t - other.t
-        )
-
-
-@dataclass
 class SlopeSolution:
     """The ribbon's slope representation (RibbonSystem.slope_solution).
 
     ``value`` is |dphi|(u), bitwise FieldSystem.local_slope(u);
-    ``minimizer`` u*, the solution of the quadratic auxiliary problem on the
-    zero-trace test space, as a full-size vector; ``L`` the pointwise
-    operator field L = Cbar_R H(u*) - Cbar_W G, its transverse-average and
-    moment parts; ``representation`` |dphi|(u) recomputed from L through
-    the inverse square root of Cbar_R; ``orthogonality`` the largest
-    pairing of L with the discrete test basis, the residual of the
-    auxiliary problem; ``L_norm`` the L2 norm of L.
+    ``representation`` |dphi|(u) recomputed from the pointwise operator
+    field L = Cbar_R H(u*) - Cbar_W G through the inverse square root of
+    Cbar_R; ``orthogonality`` the largest pairing of L with the discrete
+    test basis, the residual of the auxiliary problem; ``L_norm`` the L2
+    norm of L.
     """
 
     value: float
-    minimizer: np.ndarray
-    L: dict
     representation: float
     orthogonality: float
     L_norm: float
@@ -167,58 +143,19 @@ class RibbonSystem(FieldSystem):
         xi1, xi2, w, theta = self.split(u)
         return RibbonState(self.mesh, self.bc, xi1.copy(), xi2.copy(), w.copy(), theta.copy())
 
-    def pack(self, xi1, xi2, w, theta) -> np.ndarray:
-        return np.concatenate([xi1, xi2, w, theta])
-
     def interpolate(self, xi1_poly, xi2_poly, w_poly, theta_poly) -> np.ndarray:
         """Interpolate polynomial data into the FEM spaces and enforce the BCs."""
-        xi1p = poly_from_coeffs(xi1_poly) if not isinstance(xi1_poly, Polynomial) else xi1_poly
-        xi2p = poly_from_coeffs(xi2_poly) if not isinstance(xi2_poly, Polynomial) else xi2_poly
-        wp = poly_from_coeffs(w_poly) if not isinstance(w_poly, Polynomial) else w_poly
-        thp = poly_from_coeffs(theta_poly) if not isinstance(theta_poly, Polynomial) else theta_poly
-        u = self.pack(
-            self.p1.interpolate(xi1p),
-            self.h3.interpolate(xi2p, xi2p.deriv()),
-            self.h3.interpolate(wp, wp.deriv()),
-            self.p1.interpolate(thp),
+        xi2p, wp = poly_from_coeffs(xi2_poly), poly_from_coeffs(w_poly)
+        u = np.concatenate(
+            [
+                self.p1.interpolate(poly_from_coeffs(xi1_poly)),
+                self.h3.interpolate(xi2p, xi2p.deriv()),
+                self.h3.interpolate(wp, wp.deriv()),
+                self.p1.interpolate(poly_from_coeffs(theta_poly)),
+            ]
         )
         u[self.bc_mask] = self.bc_values[self.bc_mask]
         return u
-
-    # -- strain channels ----------------------------------------------------
-
-    def channels(self, u: np.ndarray) -> ChannelSamples:
-        return ChannelSamples(*self._channels(u)[0].reshape(-1, 4).T)
-
-    # -- energy / metric ----------------------------------------------------
-
-    def energy_parts(self, u: np.ndarray) -> dict:
-        s, _ = self._channels(u)
-        Q = self.QW
-        return {
-            "stretching": self._form(s[..., :1], Q[:1, :1]),
-            "bending_xi2": self._form(s[..., 1:2], Q[1:2, 1:2]),
-            "bending_twist": self._form(s[..., 2:], Q[2:, 2:]),
-            "force": float(np.dot(self._force, u)),
-        }
-
-    # -- extended-form evaluation (independent code path for tests) --------
-
-    def energy_via_extended_form(self, u: np.ndarray) -> float:
-        """0.5 * int_S Qbar_W(G) using the assembled 3x3 matrix; no forces."""
-        M = self.material.Wbar.M
-        ch = self.channels(u)
-        return 0.5 * self._extended_integral(M, ch)
-
-    def sqdist_via_extended_form(self, ua: np.ndarray, ub: np.ndarray) -> float:
-        M = self.material.Rbar.M
-        d = self.channels(ua).minus(self.channels(ub))
-        return self._extended_integral(M, d)
-
-    def _extended_integral(self, M: np.ndarray, ch: ChannelSamples) -> float:
-        v = np.stack([ch.a, ch.kappa, ch.t], axis=-1)
-        dens = np.einsum("qi,ij,qj->q", v, M, v) + BEND_FACTOR * M[0, 0] * ch.m**2
-        return float(np.dot(self.wq, dens))
 
     def _element_rows(self):
         """Element DOFs (xi1 | xi2 | w | theta) and reference rows xi1',
@@ -241,25 +178,24 @@ class RibbonSystem(FieldSystem):
     # -- slope representation ---------------------------------------------
 
     def slope_solution(self, u: np.ndarray) -> SlopeSolution:
-        """local_slope(u) with the minimizer u* of its auxiliary problem and
-        the diagnostics of the operator field L = Cbar_R H(u*) - Cbar_W G,
-        H(u*) the channels linearized at u in the direction u*.  Raises
-        FemError where local_slope does."""
+        """local_slope(u) with the diagnostics of the operator field
+        L = Cbar_R H(u*) - Cbar_W G, u* the minimizer of its auxiliary
+        problem and H(u*) the channels linearized at u in the direction u*.
+        Raises FemError where local_slope does."""
         ch = self._channels(u)
         value, hstar = self._slope_solve(ch)
         full = np.zeros(self.n_dofs)
         full[self.free] = hstar
         m = self.material
         lin = self._linearized(ch, full)
-        H = ChannelSamples(*lin.reshape(-1, 4).T)
-        G = ChannelSamples(*ch[0].reshape(-1, 4).T)
+        # the channel columns (a, m, kappa, t) of H(u*) and G
+        H, G = lin.reshape(-1, 4), ch[0].reshape(-1, 4)
         # L = Cbar_R H(u*) - Cbar_W G, split into transverse-average and
         # moment parts of the first channel
         CR, CW = m.Rbar.M, m.Wbar.M
-        vH = np.stack([H.a, H.kappa, H.t], axis=-1)
-        vG = np.stack([G.a, G.kappa, G.t], axis=-1)
+        vH, vG = H[:, [0, 2, 3]], G[:, [0, 2, 3]]
         L_avg = vH @ CR.T - vG @ CW.T
-        L_m = CR[0, 0] * H.m - CW[0, 0] * G.m
+        L_m = CR[0, 0] * H[:, 1] - CW[0, 0] * G[:, 1]
 
         def integral(avg, moment):  # int |avg|^2 + int |moment|^2 / 12
             a, b = (np.dot(self.wq, np.einsum("qi,qi->q", v, v)) for v in (avg, moment))
@@ -268,7 +204,7 @@ class RibbonSystem(FieldSystem):
         l_norm = float(np.sqrt(integral(L_avg, L_m[:, None])))
         # representation: | sqrt(CR)^{-1} (Cbar_W G + L) | = | sqrt(CR) H(u*) |
         z = vG @ CW.T + L_avg
-        z_m = CW[0, 0] * G.m + L_m
+        z_m = CW[0, 0] * G[:, 1] + L_m
         inv = m.Rbar.invsqrt
         representation = float(np.sqrt(max(integral(z @ inv.T, inv[:, 0] * z_m[:, None]), 0.0)))
         # the pairing of L with the test basis is the residual K u* - g
@@ -279,43 +215,5 @@ class RibbonSystem(FieldSystem):
         if not abs(representation - value) <= 1e-10 * max(value, 1.0):
             raise AssertionError(f"slope representation mismatch: {representation} vs {value}")
         return SlopeSolution(
-            value=value,
-            minimizer=full,
-            L={"avg": L_avg, "moment": L_m},
-            representation=representation,
-            orthogonality=orto,
-            L_norm=l_norm,
+            value=value, representation=representation, orthogonality=orto, L_norm=l_norm
         )
-
-    # -- misc -----------------------------------------------------------------
-
-    def sobolev_gap(self, ua: np.ndarray, ub: np.ndarray) -> float:
-        """|w - w~|_{W^{2,2}} + |theta - theta~|_{W^{1,2}} via quadrature."""
-        d = ua - ub
-        _, _, dw, dth = self.split(d)
-        R, x, wq = self.rows(d), self.quad.points, self.wq
-        w_sq = (
-            np.dot(wq, self.h3.evaluate(dw, x) ** 2)
-            + np.dot(wq, R[:, 2] ** 2)
-            + np.dot(wq, R[:, 3] ** 2)
-        )
-        th_sq = np.dot(wq, self.p1.evaluate(dth, x) ** 2) + np.dot(wq, R[:, 4] ** 2)
-        return float(np.sqrt(w_sq) + np.sqrt(th_sq))
-
-
-def mutual_shift(z_k: RibbonState, z: RibbonState, u: RibbonState) -> RibbonState:
-    """1D mutual recovery: u_k = z_k + (u - z), componentwise in the DOFs.
-
-    The (xi2, w, theta)-differences of (z_k, u_k) equal those of (z, u)
-    exactly, which pins the bending/twist parts of energy and metric.
-    """
-    if z_k.mesh != z.mesh or z.mesh != u.mesh:
-        raise ValueError("mutual shift requires a shared mesh")
-    return RibbonState(
-        mesh=z_k.mesh,
-        bc=u.bc,
-        xi1=z_k.xi1 + (u.xi1 - z.xi1),
-        xi2=z_k.xi2 + (u.xi2 - z.xi2),
-        w=z_k.w + (u.w - z.w),
-        theta=z_k.theta + (u.theta - z.theta),
-    )

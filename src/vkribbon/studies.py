@@ -89,10 +89,7 @@ def tau_study(
         kind="tau_study",
         columns=["tau", "t", "dist_to_half_step", "energy", "degiorgi_residual"],
     )
-    trajectories = {
-        tau: run_trajectory(system, u0, tau, T, options, slope_fn=system.local_slope)
-        for tau in taus
-    }
+    trajectories = {tau: run_trajectory(system, u0, tau, T, options) for tau in taus}
     residuals = {t: dissipation_ledger(system, traj).residual for t, traj in trajectories.items()}
     times = [f * T for f in SAMPLE_FRACTIONS]
     sups = {}

@@ -25,6 +25,8 @@ from vkribbon.forms import MaterialPair
 from vkribbon.plate import PlateSystem, RecoveryInputs, build_recovery
 from vkribbon.ribbon import RibbonForces, RibbonSystem
 
+from oracles import sobolev_gap
+
 BUMP = Polynomial.fromroots([-0.5, -0.5, 0.5, 0.5])
 BC = BoundaryData.from_coeffs(u1=(0.0, 0.3), u2=(0.05, 0.1), v=(0.1, 0.2))
 FORCES = RibbonForces.from_coeffs(f=(0.2, 0.5), g1=(0.1,), g2=(0.3,))
@@ -243,8 +245,10 @@ def test_diagnostics_build_no_sampling_matrix(monkeypatch):
     only_f.energy(v)
     assert calls == ["Hermite3Space"]
     calls.clear()
-    p.project(u), p.d0_projected(u, r, v), studies._projection_diag(p, u)
-    r.slope_solution(v), r.sobolev_gap(v, v2)
+    R = p.rows(u)
+    p.quad.x2_average(R[:, 4]), p.quad.x2_average(R[:, 6])
+    p.d0_projected(u, r, v), studies._projection_diag(p, u)
+    r.slope_solution(v), sobolev_gap(r, v, v2)
     assert calls == []
 
 

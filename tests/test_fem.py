@@ -17,8 +17,9 @@ from vkribbon.fem import (
     Quadrature2D,
     dirichlet_1d,
     dirichlet_2d,
-    scaled_operators_2d,
 )
+
+from oracles import scaled_operators_2d
 
 
 @pytest.fixture

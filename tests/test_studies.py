@@ -88,10 +88,14 @@ class TestTauStudy:
 
         monkeypatch.setattr(studies, "dissipation_ledger", counted)
         s = RibbonSystem(Mesh1D(l=1.0, n=8), H1)
+        # the ledgers take one slope per step; nothing reads the slope of u0
+        slopes, local_slope = [], s.local_slope
+        monkeypatch.setattr(s, "local_slope", lambda u: slopes.append(u) or local_slope(u))
         taus = [0.08, 0.04, 0.02]
         rep = tau_study(s, s.interpolate(*xi2_initial()), taus, 0.16)
         assert len(calls) == len(taus)
         assert sorted(rep.summary["residuals"]) == sorted(taus)
+        assert len(slopes) == sum(round(0.16 / tau) for tau in taus)
 
     def test_residual_magnitude_decreases(self):
         mesh = Mesh1D(l=1.0, n=12)
