@@ -13,19 +13,23 @@ All meshes are uniform, so the basis derivatives at an element's
 quadrature points form one reference table shared by every element.
 ElementTables pairs that table with the element-DOF list: ``evaluate``
 gathers the element coefficients and yields every row value at every
-point in one matrix product, and ``scatter``, its transpose, turns
-per-point row coefficients into a DOF vector with one more product and a
-bincount.  Energies, gradients and every diagnostic field value are read
-through these two operations.  An ElementAssembly plan, made on the first
+point in one matrix product, and ``split_scatter`` turns per-point
+coefficients on the linear and the slope rows into a DOF vector with one
+product each, against tables with the quadrature weights folded in, and
+one bincount.  The strain channels, which FieldSystem writes once, are
+the linear element rows a system declares plus halved products of its
+slope rows.  Every kernel is a flat 2D product on the (points x channels)
+matrix, and a trial point of a time step makes one set of channel-form
+products, s QW and (s - s_anchor) QR, from which its value, gradient and
+Hessian are all read.  An ElementAssembly plan, made on the first
 Hessian, orders the fixed pattern of the free DOFs by reverse
-Cuthill-McKee into a narrow band.  The strain channels, which FieldSystem
-writes once, are the linear element rows a system declares plus halved
-products of its slope rows, so the plan computes the element values of
-the channel forms on the linear rows once, and each Hessian adds the
-rest, one product of the slopes with constant slope forms, with one more
-matrix product and one bincount straight into LAPACK band storage, where
-the plan factors it by banded Cholesky, unscaled or with its diagonal
-raised by a given multiple of |diag H|, into a solver that outlives it.
+Cuthill-McKee into a narrow band and computes the element values of the
+channel forms on the linear rows once; each Hessian adds the rest, one
+product of the slopes with constant slope forms, with one more matrix
+product, and keeps its element values, which one bincount adds up into
+LAPACK band storage.  The plan factors that band in place by direct
+LAPACK calls (banded Cholesky, unscaled or with its diagonal raised by a
+given multiple of |diag H|) into a solver that outlives it.
 A space's sparse sampling matrix (rows = quadrature points, columns =
 DOFs) builds the load vector, once per system.
 """
@@ -38,7 +42,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial import Polynomial
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 
@@ -611,39 +615,65 @@ class ElementTables:
     ``dofs`` (E, k) lists the global DOFs of each element; ``rows`` (nq, r, k)
     holds r reference rows (scaled basis derivatives) at the nq quadrature
     points of an element, the same for every element, ``weights`` (nq,) its
-    quadrature weights, and ``coupling`` (r, r) marks the row pairs a
+    quadrature weights, ``point_weights`` (E * nq,) the weight of every
+    point in element order, and ``coupling`` (r, r) marks the row pairs a
     Hessian density may couple.  The strain channels are the rows
-    ``linear`` plus terms quadratic in the other rows, so a Hessian density
-    is the channel form on the linear rows, the same at every point, plus
-    a remainder on the row pairs ``pairs`` (i, j) only.
+    ``linear`` plus terms quadratic in the rows ``slope``, so a Hessian
+    density is the channel form on the linear rows, the same at every
+    point, plus a remainder on the row pairs ``pairs`` (i, j) only.
+    ``lin_t`` and ``slope_t`` (nq * n, k) are the linear and slope rows
+    with the quadrature weights folded in, the tables of ``split_scatter``.
     """
 
-    def __init__(self, dofs, rows, weights, coupling, n_dofs: int, linear, pairs):
+    def __init__(self, dofs, rows, weights, coupling, n_dofs: int, linear, slope, pairs):
         self.dofs, self.rows, self.weights, self.coupling = dofs, rows, weights, coupling
         self.n_dofs = n_dofs
         self.linear, self.pairs = np.asarray(linear), np.asarray(pairs)
-        self.flat = rows.reshape(-1, rows.shape[-1])
-        self.flat_t = self.flat.T.copy()
+        self.point_weights = np.tile(weights, len(dofs))
+        self.flat_t = rows.reshape(-1, rows.shape[-1]).T.copy()
+        weighted = rows * weights[:, None, None]
+        self.lin_t = weighted[:, linear].reshape(-1, rows.shape[-1])
+        self.slope_t = weighted[:, slope].reshape(-1, rows.shape[-1])
 
     def evaluate(self, u: np.ndarray) -> np.ndarray:
         """Every row value at every point, (E, nq, r), from one gather and one product."""
         return (u[self.dofs] @ self.flat_t).reshape(self.dofs.shape[:1] + self.rows.shape[:2])
 
-    def scatter(self, coeffs: np.ndarray) -> np.ndarray:
-        """The transpose of evaluate: the DOF vector of sum_e sum_q coeffs[e, q] . rows_q."""
-        local = coeffs.reshape(len(self.dofs), -1) @ self.flat
+    def split_scatter(self, lin: np.ndarray, slope: np.ndarray) -> np.ndarray:
+        """The DOF vector of sum_e sum_q w_q (lin . rows_q[linear] + slope .
+        rows_q[slope]) for per-point coefficients lin and slope (E * nq, n)
+        on the linear and the slope rows: one product each and a bincount."""
+        e = len(self.dofs)
+        local = lin.reshape(e, -1) @ self.lin_t
+        local += slope.reshape(e, -1) @ self.slope_t
         return np.bincount(self.dofs.ravel(), weights=local.ravel(), minlength=self.n_dofs)
 
 
 class BandMatrix:
-    """A symmetric free-DOF matrix in the lower band storage of its
-    ElementAssembly plan: ``band[c, o]`` is the entry (c + o, c) in the
+    """A symmetric free-DOF matrix from ``ElementAssembly.assemble``, kept as
+    its element ``values``.  ``band`` adds them up into the lower band
+    storage of the plan: ``band[c, o]`` is the entry (c + o, c) in the
     plan's RCM order, so column 0 holds the diagonal and ``band.T`` is
-    LAPACK's lower band layout."""
+    LAPACK's lower band layout.  A factorization takes the band and
+    overwrites it; the next read of ``band`` adds it up again."""
 
-    def __init__(self, plan: "ElementAssembly", band: np.ndarray):
-        self.plan, self.band = plan, band
+    def __init__(self, plan: "ElementAssembly", values: np.ndarray):
+        self.plan, self.values = plan, values
         self.shape = (plan.n_free, plan.n_free)
+        self._band = None
+
+    @property
+    def band(self) -> np.ndarray:
+        if self._band is None:
+            p = self.plan
+            band = np.bincount(p.slot, weights=self.values.ravel(), minlength=p.size + 1)
+            self._band = band[:-1].reshape(p.n_free, -1)
+        return self._band
+
+    def take_band(self) -> np.ndarray:
+        """The band, to be overwritten: this matrix no longer holds it."""
+        band, self._band = self.band, None
+        return band
 
     def tocsc(self) -> sp.csc_matrix:
         """CSC copy on the plan's pattern, in free-DOF order."""
@@ -652,8 +682,8 @@ class BandMatrix:
 
 
 class ElementAssembly:
-    """Assembly of free-DOF Hessians straight into band storage, and banded
-    Cholesky factorization of them.
+    """Assembly of free-DOF Hessians in element values that add up straight
+    into band storage, and banded Cholesky factorization of them.
 
     The pattern is the free-free element connectivity of ``tables``
     restricted to DOF pairs that coupled rows reach, kept as CSC
@@ -679,7 +709,9 @@ class ElementAssembly:
         loc = index[dofs]
         # entry (e, a, b) sits at row loc[e, a], column loc[e, b]; keys are column-major
         keep = (loc[:, :, None] >= 0) & (loc[:, None, :] >= 0) & local
-        key = np.unique((loc[:, None, :] * nf + loc[:, :, None])[keep])
+        key = (loc[:, None, :] * nf + loc[:, :, None])[keep]
+        key.sort()
+        key = key[np.concatenate(([True], key[1:] != key[:-1]))]
         self.free, self.n_free, self.tables = free, nf, tables
         self.indices = (key % nf).astype(np.int32)
         self.indptr = np.searchsorted(key // nf, np.arange(nf + 1)).astype(np.int32)
@@ -693,6 +725,7 @@ class ElementAssembly:
         width = self.bandwidth + 1
         self.size = nf * width
         self.gather = np.minimum(row, col) * width + np.abs(row - col)
+        del key, row, col, pattern  # pattern-sized; not held through the element tables below
 
         # a density d on rows (i, j) adds d (rows_i[a] rows_j[b] + rows_j[a] rows_i[b])
         # to the element pair (a, b), the second term only when i != j
@@ -722,31 +755,34 @@ class ElementAssembly:
         plus ``rem`` (E * nq, len(pairs)) on the row pairs, without weights."""
         values = rem.reshape(-1, len(self.T)) @ self.T
         values += cw * self.KW + cr * self.KR
-        band = np.bincount(self.slot, weights=values.ravel(), minlength=self.size + 1)
-        return BandMatrix(self, band[:-1].reshape(self.n_free, -1))
+        return BandMatrix(self, values)
 
     def factor(self, H: BandMatrix, shift: float = 0.0):
         """Solver r -> H^{-1} r for a matrix from ``assemble``, or None when
         H + shift |diag H| is not positive definite.
 
-        Banded Cholesky (LAPACK ``pbtrf``) in the RCM order; a nonpositive
-        (or NaN) diagonal entry or a failed ``pbtrf`` is the indefiniteness
-        test.  The shift is in units of H's own diagonal, so it does not
-        depend on the units of H.  The solver keeps only the Cholesky band,
-        not H."""
-        band = H.band.copy()
-        band[:, 0] += shift * np.abs(band[:, 0])
-        if not np.all(band[:, 0] > 0.0):
+        Banded Cholesky (LAPACK ``dpbtrf``, then ``dpbtrs`` per solve) in the
+        RCM order; a nonpositive (or NaN) diagonal entry or a failed
+        ``dpbtrf`` is the indefiniteness test.  The shift is in units of H's
+        own diagonal, so it does not depend on the units of H.  The factor
+        overwrites H's band, which H adds up again from its element values
+        if it is read once more (a rejected shift, say); the diagonal test
+        leaves it in place.  The solver keeps only the Cholesky band."""
+        diag = H.band[:, 0]
+        if shift:
+            diag = diag + shift * np.abs(diag)
+        if not np.all(diag > 0.0):
             return None
-        try:
-            chol = cholesky_banded(band.T, overwrite_ab=True, lower=True, check_finite=False)
-        except np.linalg.LinAlgError:
+        band = H.take_band()
+        band[:, 0] = diag
+        chol, info = dpbtrf(band.T, lower=1, overwrite_ab=1)
+        if info:
             return None
         perm = self.perm
 
         def solve(r: np.ndarray) -> np.ndarray:
             x = np.empty(len(perm))
-            x[perm] = cho_solve_banded((chol, True), r[perm], check_finite=False)
+            x[perm] = dpbtrs(chol, r[perm], lower=1, overwrite_b=1)[0]
             return x
 
         return solve
@@ -778,12 +814,15 @@ class FieldSystem:
     the rows ``SLOPE_ROWS``; every row is linear or a slope.  It provides
     ``_element_rows()`` and QW, QR, in which the membrane channels meet no
     other channel.  phi(u) = 1/2 int s . QW s minus the work of the loads
-    and D^2(a, b) = int (s_a - s_b) . QR (s_a - s_b).  Coefficients (cw, cr)
-    select cw * phi + cr * D^2(anchor, .)/2, with stress
-    sig = cw QW s + cr QR (s - s_anchor) and Hessian density C = cw QW + cr QR
-    on the linear rows, which the assembly plan adds, plus C ds/dg on the
-    row pairs (slope, membrane row) and ds/dg^T C ds/dg + sig . d^2s/dg^2
-    on (slope, slope).
+    and D^2(a, b) = int (s_a - s_b) . QR (s_a - s_b).  Every kernel works on
+    the (E * nq, ns) channel matrix and its products with QW and QR, each a
+    single 2D product: a value is the weighted sum of a product times its
+    channels.  Coefficients (cw, cr) select cw * phi + cr * D^2(anchor, .)/2,
+    with stress sig = cw s QW + cr (s - s_anchor) QR, whose gradient is
+    ``split_scatter`` of sig on the linear rows and sum_k sig_k ds_k/dg on
+    the slopes, and Hessian density C = cw QW + cr QR on the linear rows,
+    which the assembly plan adds, plus C ds/dg on the row pairs (slope,
+    membrane row) and ds/dg^T C ds/dg + sig . d^2s/dg^2 on (slope, slope).
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -842,17 +881,14 @@ class FieldSystem:
         dofs, rows, coupling = self._element_rows()
         weights = self.quad.by_element(self.wq)[0]
         return ElementTables(
-            dofs, rows, weights, coupling, self.n_dofs, self.LINEAR_ROWS, self._row_pairs
+            dofs, rows, weights, coupling, self.n_dofs,
+            self.LINEAR_ROWS, self.SLOPE_ROWS, self._row_pairs,
         )
 
     def rows(self, u: np.ndarray) -> np.ndarray:
         """Every reference row of ``_element_rows`` at every quadrature
         point, (n_points, r), in point order."""
         return self.quad.by_point(self._tables.evaluate(u))
-
-    def _form(self, s: np.ndarray, Q: np.ndarray) -> float:
-        """1/2 int s . Q s over channels s (E, nq, n)."""
-        return 0.5 * float(np.vdot(s @ Q, s * self._tables.weights[:, None]))
 
     def _channels(self, u: np.ndarray):
         """Element-local strain s (E, nq, ns) and slopes g (E, nq, ng)."""
@@ -862,16 +898,18 @@ class FieldSystem:
         s[..., :len(self._D2)] += 0.5 * g[..., self._ga] * g[..., self._gb]
         return s, g
 
-    def _row_stress(self, ch, sig: np.ndarray) -> np.ndarray:
-        """ds/drows^T sig, (E, nq, r): sig on the linear rows and
-        sum_k sig_k ds_k/dg on the slope rows."""
-        g = ch[1]
-        out = np.empty(g.shape[:-1] + (sig.shape[-1] + g.shape[-1],))
-        out[..., self._linear] = sig
-        W = self._D2.reshape(-1, g.shape[-1])  # sig_k g_d -> sig_k D2[k, :, d]
-        sg = sig[..., self._sk] * g[..., self._sd]
-        out[..., self._slope] = (sg.reshape(-1, len(W)) @ W).reshape(g.shape)
-        return out
+    def _integral(self, P: np.ndarray, s: np.ndarray) -> float:
+        """int P . s for a channel matrix s (E * nq, ns) and its product P with a form."""
+        return float((self._tables.point_weights @ (P * s)).sum())
+
+    def _strain(self, ch) -> np.ndarray:
+        """The (E * nq, ns) channel matrix of channels ch, a view."""
+        return ch[0].reshape(-1, len(self.QW))
+
+    def _products(self, s: np.ndarray, s_a: np.ndarray):
+        """d = s - s_a for channel matrices s and s_a, and the products s QW and d QR."""
+        d = s - s_a
+        return d, s @ self.QW, d @ self.QR
 
     def _slope_forms(self) -> np.ndarray:
         """The slope forms (F_W, F_R, F_G): the density on the row pairs is
@@ -889,32 +927,30 @@ class FieldSystem:
         F[2, -nm:, n:] = D2[:, c, d]
         return F
 
-    def _hessian_density(self, ch, sig: np.ndarray, cw: float, cr: float) -> np.ndarray:
+    def _hessian_density(self, g, sig: np.ndarray, cw: float, cr: float) -> np.ndarray:
         """The density on the row pairs, (E * nq, len(pairs)) without weights."""
         FW, FR, FG = self._forms
-        g = ch[1]
-        z = np.concatenate([g, g[..., self._gc] * g[..., self._gd], sig[..., :len(self._D2)]], -1)
-        return z.reshape(-1, z.shape[-1]) @ (cw * FW + cr * FR + FG)
+        g = g.reshape(len(sig), -1)
+        z = np.concatenate([g, g[:, self._gc] * g[:, self._gd], sig[:, :len(self._D2)]], -1)
+        return z @ (cw * FW + cr * FR + FG)
 
-    def _stress(self, ch, ch_a, cw: float, cr: float) -> np.ndarray:
-        s = ch[0]
-        return cw * (s @ self.QW) + cr * ((s - ch_a[0]) @ self.QR)
+    def _gradient(self, g, sig: np.ndarray, cw: float) -> np.ndarray:
+        """DOF gradient of the stress sig (E * nq, ns) at slopes g, less cw
+        times the loads; zero on the constrained DOFs."""
+        g = g.reshape(len(sig), -1)
+        # sum_k sig_k ds_k/dg on the slope rows: sig_k g_d -> sig_k D2[k, :, d]
+        slope = (sig[:, self._sk] * g[:, self._sd]) @ self._D2.reshape(-1, g.shape[1])
+        out = self._tables.split_scatter(sig, slope)
+        out -= cw * self._force
+        out[self.bc_mask] = 0.0
+        return out
 
-    def _gradient(self, ch, ch_a, cw: float, cr: float) -> np.ndarray:
-        """DOF gradient at channels ch; zero on the constrained DOFs."""
-        t = self._tables
-        g = t.scatter(self._row_stress(ch, self._stress(ch, ch_a, cw, cr)) * t.weights[:, None])
-        g -= cw * self._force
-        g[self.bc_mask] = 0.0
-        return g
-
-    def _hessian(self, ch, ch_a, cw: float, cr: float) -> BandMatrix:
-        """Free-DOF Hessian at channels ch, in band storage."""
+    def _hessian(self, g, sig: np.ndarray, cw: float, cr: float) -> BandMatrix:
+        """Free-DOF Hessian at slopes g with stress sig, in band storage."""
         if self._plan is None:
             self._plan = ElementAssembly(self._tables, self.free, self.QW, self.QR)
             self._forms = self._slope_forms()
-        rem = self._hessian_density(ch, self._stress(ch, ch_a, cw, cr), cw, cr)
-        return self._plan.assemble(rem, cw, cr)
+        return self._plan.assemble(self._hessian_density(g, sig, cw, cr), cw, cr)
 
     def _linearized(self, ch, du: np.ndarray) -> np.ndarray:
         """ds/du . du at channels ch, (E, nq, ns): the linear rows of du plus
@@ -928,9 +964,11 @@ class FieldSystem:
 
     def _slope_solve(self, ch):
         """(|dphi|, h*) at channels ch, h* (free DOFs) solving K h* = g with K
-        the Hessian of D^2(u, .)/2 at u and g the energy gradient."""
-        g = self._gradient(ch, ch, 1.0, 0.0)[self.free]
-        K = self._hessian(ch, ch, 0.0, 1.0)
+        the Hessian of D^2(u, .)/2 at u, where its stress vanishes, and g the
+        energy gradient."""
+        s = self._strain(ch)
+        g = self._gradient(ch[1], s @ self.QW, 1.0)[self.free]
+        K = self._hessian(ch[1], np.zeros_like(s), 0.0, 1.0)
         solve = self._plan.factor(K)
         if solve is None:
             raise FemError("metric tensor not positive definite at u")
@@ -947,17 +985,21 @@ class FieldSystem:
         return self._slope_solve(self._channels(u))[0]
 
     def energy(self, u: np.ndarray) -> float:
-        return self._form(self._channels(u)[0], self.QW) - float(np.dot(self._force, u))
+        s = self._strain(self._channels(u))
+        return 0.5 * self._integral(s @ self.QW, s) - float(np.dot(self._force, u))
 
     def sqdist(self, ua: np.ndarray, ub: np.ndarray) -> float:
-        return 2.0 * self._form(self._channels(ua)[0] - self._channels(ub)[0], self.QR)
+        d = self._strain(self._channels(ua)) - self._strain(self._channels(ub))
+        return self._integral(d @ self.QR, d)
 
     def grad_energy(self, u: np.ndarray) -> np.ndarray:
         ch = self._channels(u)
-        return self._gradient(ch, ch, 1.0, 0.0)
+        return self._gradient(ch[1], self._strain(ch) @ self.QW, 1.0)
 
     def grad_halfsqdist(self, anchor: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return self._gradient(self._channels(u), self._channels(anchor), 0.0, 1.0)
+        ch = self._channels(u)
+        d = self._strain(ch) - self._strain(self._channels(anchor))
+        return self._gradient(ch[1], d @ self.QR, 0.0)
 
     def incremental(self, anchor: np.ndarray, tau: float) -> "IncrementalProblem":
         """The functional v -> phi(v) + D^2(anchor, v) / (2 tau) of one time step."""
@@ -966,12 +1008,14 @@ class FieldSystem:
     def hess_energy(self, u: np.ndarray) -> sp.csc_matrix:
         """Full-size Hessian of phi at u; constrained rows and columns are zero."""
         ch = self._channels(u)
-        K = self._hessian(ch, ch, 1.0, 0.0)
+        K = self._hessian(ch[1], self._strain(ch) @ self.QW, 1.0, 0.0)
         return self._plan.embed(K.tocsc())
 
     def hess_halfsqdist(self, anchor: np.ndarray, u: np.ndarray) -> sp.csc_matrix:
         """Full-size Hessian of D^2(anchor, .)/2 at u; constrained rows and columns are zero."""
-        K = self._hessian(self._channels(u), self._channels(anchor), 0.0, 1.0)
+        ch = self._channels(u)
+        d = self._strain(ch) - self._strain(self._channels(anchor))
+        K = self._hessian(ch[1], d @ self.QR, 0.0, 1.0)
         return self._plan.embed(K.tocsc())
 
     def weak_residual_vector(self, prev: np.ndarray, nxt: np.ndarray, tau: float) -> np.ndarray:
@@ -987,9 +1031,11 @@ class FieldSystem:
 class IncrementalProblem:
     """v -> Phi(v) = phi(v) + D^2(anchor, v) / (2 tau) of one time step.
 
-    Keeps the anchor's channels and those of the last point, keyed on a
-    copy of its values, with (phi, D^2) there once asked for, so value,
-    gradient and Hessian at one point share one evaluation.  Holds the
+    Keeps the anchor's channel matrix and, for the last point, keyed on a
+    copy of its values, what its one set of products P_W = s QW and
+    P_R = (s - s_anchor) QR (``FieldSystem._products``) yields: (phi, D^2),
+    their reductions, and the stress sig = P_W + P_R / tau, from which the
+    gradient and the Hessian there are read with its slopes.  Holds the
     system; the system never holds it.
     """
 
@@ -998,23 +1044,33 @@ class IncrementalProblem:
             raise ValueError("tau must be positive")
         self.system, self.cr = system, 1.0 / tau
         self._key = np.array(anchor, dtype=float)
-        self._anchor = self._ch = system._channels(self._key)
-        self._parts = None
+        ch = system._channels(self._key)
+        self._anchor = system._strain(ch)
+        self._point = self._evaluate(self._key, ch)
+
+    def _evaluate(self, v: np.ndarray, ch):
+        """(slopes, stress, (phi, D^2)) at v with channels ch."""
+        system = self.system
+        s = system._strain(ch)
+        d, sig, PR = system._products(s, self._anchor)
+        phi = 0.5 * system._integral(sig, s) - float(np.dot(system._force, v))
+        parts = phi, system._integral(PR, d)
+        sig += self.cr * PR  # P_W becomes the stress
+        return ch[1], sig, parts
 
     def _at(self, v: np.ndarray):
         if not np.array_equal(v, self._key):
-            self._key = np.array(v, dtype=float)
-            self._ch = self.system._channels(self._key)
-            self._parts = None
-        return self._ch
+            # the old point goes before the new one's arrays are made, and
+            # stays gone if making them raises
+            self._key = self._point = None
+            key = np.array(v, dtype=float)
+            self._point = self._evaluate(key, self.system._channels(key))
+            self._key = key
+        return self._point
 
     def parts(self, v: np.ndarray) -> tuple[float, float]:
         """(phi(v), D^2(anchor, v))."""
-        system, strain = self.system, self._at(v)[0]
-        if self._parts is None:
-            phi = system._form(strain, system.QW) - float(np.dot(system._force, self._key))
-            self._parts = phi, 2.0 * system._form(strain - self._anchor[0], system.QR)
-        return self._parts
+        return self._at(v)[2]
 
     def value(self, v: np.ndarray) -> float:
         phi, d2 = self.parts(v)
@@ -1022,12 +1078,14 @@ class IncrementalProblem:
 
     def grad(self, v: np.ndarray) -> np.ndarray:
         """Full-size gradient of Phi at v; zero on the constrained DOFs."""
-        return self.system._gradient(self._at(v), self._anchor, 1.0, self.cr)
+        g, sig, _ = self._at(v)
+        return self.system._gradient(g, sig, 1.0)
 
     def hessian(self, v: np.ndarray) -> BandMatrix:
         """Free-DOF Hessian of Phi at v in the plan's band storage; its
         ``tocsc()`` is the CSC matrix on the plan's fixed pattern."""
-        return self.system._hessian(self._at(v), self._anchor, 1.0, self.cr)
+        g, sig, _ = self._at(v)
+        return self.system._hessian(g, sig, 1.0, self.cr)
 
     def factor(self, H: BandMatrix, shift: float = 0.0):
         """Solver r -> H^{-1} r for a Hessian from ``hessian`` by banded

@@ -207,10 +207,9 @@ class RibbonSystem(FieldSystem):
         z_m = CW[0, 0] * G[:, 1] + L_m
         inv = m.Rbar.invsqrt
         representation = float(np.sqrt(max(integral(z @ inv.T, inv[:, 0] * z_m[:, None]), 0.0)))
-        # the pairing of L with the test basis is the residual K u* - g
-        t = self._tables
-        stress = self._row_stress(ch, lin @ self.QR - ch[0] @ self.QW)
-        resid = (t.scatter(stress * t.weights[:, None]) + self._force)[self.free]
+        # the pairing of L with the test basis is the residual K u* - g: the
+        # gradient of the stress H(u*) QR - G QW with the loads of -phi
+        resid = self._gradient(ch[1], H @ self.QR - G @ self.QW, -1.0)[self.free]
         orto = float(np.abs(resid).max(initial=0.0))
         if not abs(representation - value) <= 1e-10 * max(value, 1.0):
             raise AssertionError(f"slope representation mismatch: {representation} vs {value}")

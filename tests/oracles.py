@@ -42,13 +42,20 @@ def scaled_operators_2d(mesh: Mesh2D, eps: float, fields: dict, points) -> dict:
     return {"E": E, "grad_w": grad, "hess_w": hess}
 
 
+def _half_form(system, s: np.ndarray, Q: np.ndarray) -> float:
+    """1/2 int s . Q s for element-local channels s (E, nq, n), weighted by
+    the system's quadrature weights regrouped by element."""
+    w = system.quad.by_element(system.wq)
+    return 0.5 * float(np.einsum("eq,eqi,ij,eqj->", w, s, Q, s))
+
+
 def ribbon_energy_parts(system, u: np.ndarray) -> dict:
     s, _ = system._channels(u)
     Q = system.QW
     return {
-        "stretching": system._form(s[..., :1], Q[:1, :1]),
-        "bending_xi2": system._form(s[..., 1:2], Q[1:2, 1:2]),
-        "bending_twist": system._form(s[..., 2:], Q[2:, 2:]),
+        "stretching": _half_form(system, s[..., :1], Q[:1, :1]),
+        "bending_xi2": _half_form(system, s[..., 1:2], Q[1:2, 1:2]),
+        "bending_twist": _half_form(system, s[..., 2:], Q[2:, 2:]),
         "force": float(np.dot(system._force, u)),
     }
 
@@ -56,8 +63,8 @@ def ribbon_energy_parts(system, u: np.ndarray) -> dict:
 def plate_energy_parts(system, u: np.ndarray) -> dict:
     s, _ = system._channels(u)
     return {
-        "membrane": system._form(s[..., :3], system.QW[:3, :3]),
-        "bending": system._form(s[..., 3:], system.QW[3:, 3:]),
+        "membrane": _half_form(system, s[..., :3], system.QW[:3, :3]),
+        "bending": _half_form(system, s[..., 3:], system.QW[3:, 3:]),
         "force": float(np.dot(system._force, u)),
     }
 

@@ -15,7 +15,7 @@ from scipy.optimize import minimize_scalar
 import vkribbon as vk
 from vkribbon.flow import SolverOptions, dissipation_ledger, incremental_step, run_trajectory
 from vkribbon.plate import RecoveryInputs, build_recovery
-from vkribbon.studies import fit_order, gamma_check, geodesic_convexity_check
+from vkribbon.studies import gamma_check, geodesic_convexity_check
 
 BUMP = Polynomial.fromroots([-0.5, -0.5, 0.5, 0.5])
 H1 = vk.MaterialPair.isotropic(1.0, 0.0, 1.0, 0.0)

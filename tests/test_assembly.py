@@ -253,10 +253,15 @@ def test_diagnostics_build_no_sampling_matrix(monkeypatch):
 
 
 def shifted_diagonal(H, sigma):
-    """H - sigma I in the same band storage."""
-    band = H.band.copy()
-    band[:, 0] -= sigma
-    return fem.BandMatrix(H.plan, band)
+    """H - sigma I in element values on the same plan: sigma comes off one
+    element's share of each diagonal entry."""
+    plan, values = H.plan, H.values.copy()
+    flat = values.reshape(-1)
+    on_diagonal = np.flatnonzero((plan.slot < plan.size) & (plan.slot % (plan.bandwidth + 1) == 0))
+    _, first = np.unique(plan.slot[on_diagonal], return_index=True)
+    assert len(first) == plan.n_free
+    flat[on_diagonal[first]] -= sigma
+    return fem.BandMatrix(plan, values)
 
 
 def indefinite(H):
@@ -266,6 +271,30 @@ def indefinite(H):
     assert np.linalg.eigvalsh(Hs.tocsc().toarray())[0] < 0.0
     assert H.plan.factor(Hs) is None
     return Hs
+
+
+def test_rejected_factor_leaves_the_matrix_to_the_next_shift():
+    """A compressed ribbon's flat start: Cholesky takes H's band in place
+    and rejects it at shift 0, after the diagonal test has passed; the next
+    shift factors the matrix that H adds up again from its element values."""
+    s = RibbonSystem(
+        Mesh1D(l=1.0, n=64),
+        MaterialPair.isotropic(1.0, 0.0, 1.0, 0.0),
+        BoundaryData.from_coeffs(u1=(0.0, -30.0)),
+    )
+    u0 = s.interpolate((0.0, -30.0), (0.0,), (0.0,), (0.0,))
+    problem = s.incremental(u0, 0.2)
+    H = problem.hessian(u0)
+    before = H.tocsc()
+    assert np.all(H.band[:, 0] > 0.0)
+    assert problem.factor(H, 0.0) is None
+    Hc = H.tocsc()
+    assert abs(Hc - before).max() == 0.0
+    dense = Hc.toarray() + 1e-3 * np.diag(np.abs(Hc.diagonal()))
+    b = np.random.default_rng(69).standard_normal(H.shape[0])
+    x = problem.factor(H, 1e-3)(b)
+    ref = np.linalg.solve(dense, b)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def recorded_directions(monkeypatch):

@@ -13,7 +13,7 @@ import pytest
 from vkribbon import cli
 from vkribbon.cli import main
 from vkribbon.config import ScenarioError, load_scenario
-from vkribbon.fem import BoundaryData, Mesh1D, Mesh2D
+from vkribbon.fem import Mesh1D, Mesh2D
 from vkribbon.forms import MaterialPair
 from vkribbon.io import (
     load_snapshot,

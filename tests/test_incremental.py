@@ -154,9 +154,9 @@ def test_stepper_asks_only_for_the_incremental_problem(build):
 @pytest.mark.parametrize("build", [nonlinear_ribbon, nonlinear_plate])
 def test_each_valued_point_reduces_its_forms_once(build, monkeypatch):
     system, u = build()
-    forms, valued = [], []
-    form = system._form
-    monkeypatch.setattr(system, "_form", lambda s, Q: forms.append(1) or form(s, Q))
+    products, valued = [], []
+    make = system._products
+    monkeypatch.setattr(system, "_products", lambda s, s_a: products.append(1) or make(s, s_a))
     parts = IncrementalProblem.parts
 
     def recorded(self, v):
@@ -165,12 +165,20 @@ def test_each_valued_point_reduces_its_forms_once(build, monkeypatch):
 
     monkeypatch.setattr(IncrementalProblem, "parts", recorded)
     for n in range(3):
-        forms.clear(), valued.clear()
+        products.clear(), valued.clear()
         u, rep = incremental_step(system, TAU, u, SolverOptions(tol=1e-9), step_index=n)
-        # phi and D^2 once per point whose value is asked for: the warm
-        # start and the trial points, the accepted one not again at the end
+        # one set of products (s QW, d QR) per point whose value is asked
+        # for: the warm start and the trial points, the accepted one not
+        # again at the end, nor for its gradient or Hessian
         assert rep.newton_iters > 0 and len(valued) > len(set(valued))
-        assert len(forms) == 2 * len(set(valued))
+        assert len(products) == len(set(valued))
+    # a gradient and a Hessian at a valued point reuse its products
+    problem = system.incremental(u, TAU)
+    v = u + 1e-3 * problem.grad(u)
+    problem.value(v)
+    made = len(products)
+    problem.grad(v), problem.hessian(v)
+    assert len(products) == made
 
 
 @pytest.mark.parametrize("name", list(SYSTEMS))
