@@ -22,14 +22,16 @@ slope rows.  Every kernel is a flat 2D product on the (points x channels)
 matrix, and a trial point of a time step makes one set of channel-form
 products, s QW and (s - s_anchor) QR, from which its value, gradient and
 Hessian are all read.  An ElementAssembly plan, made on the first
-Hessian, orders the fixed pattern of the free DOFs by reverse
-Cuthill-McKee into a narrow band and computes the element values of the
-channel forms on the linear rows once; each Hessian adds the rest, one
-product of the slopes with constant slope forms, with one more matrix
-product, and keeps its element values, which one bincount adds up into
-LAPACK band storage.  The plan factors that band in place by direct
-LAPACK calls (banded Cholesky, unscaled or with its diagonal raised by a
-given multiple of |diag H|) into a solver that outlives it.
+Hessian, orders the fixed pattern of the free DOFs into a narrow band,
+sorting them along the strip (by the first plus the last index of the
+elements holding them) unless reverse Cuthill-McKee's band is narrower,
+and computes the element values of the channel forms on the linear rows
+once; each Hessian adds the rest, one product of the slopes with constant
+slope forms, with one more matrix product, and keeps its element values,
+which one bincount adds up into LAPACK band storage.  The plan factors
+that band in place by direct LAPACK calls (banded Cholesky, unscaled or
+with its diagonal raised by a given multiple of |diag H|) into a solver
+that outlives it.
 A space's sparse sampling matrix (rows = quadrature points, columns =
 DOFs) builds the load vector, once per system.
 """
@@ -653,7 +655,7 @@ class BandMatrix:
     """A symmetric free-DOF matrix from ``ElementAssembly.assemble``, kept as
     its element ``values``.  ``band`` adds them up into the lower band
     storage of the plan: ``band[c, o]`` is the entry (c + o, c) in the
-    plan's RCM order, so column 0 holds the diagonal and ``band.T`` is
+    plan's order ``perm``, so column 0 holds the diagonal and ``band.T`` is
     LAPACK's lower band layout.  A factorization takes the band and
     overwrites it; the next read of ``band`` adds it up again."""
 
@@ -687,9 +689,16 @@ class ElementAssembly:
 
     The pattern is the free-free element connectivity of ``tables``
     restricted to DOF pairs that coupled rows reach, kept as CSC
-    (``indices``, ``indptr``).  A reverse Cuthill-McKee order ``perm`` of
-    it makes it a band of half-width ``bandwidth``; ``gather`` holds the
-    flat band position of each CSC entry.  An element matrix is kept as
+    (``indices``, ``indptr``).  Its order ``perm`` makes it a band of
+    half-width ``bandwidth``: the sweep along the element numbering, which
+    sorts the free DOFs by the first plus the last index of the elements
+    holding them, unless the reverse Cuthill-McKee order gives a narrower
+    band.  RCM narrows the profile, not the band, and banded Cholesky costs
+    about n bw^2: on a strip numbered along x1 RCM's level sets are whole
+    columns of nodes, and the sweep's band is 65 wide where RCM's is 107
+    (plate 48 x 8), while RCM stays narrower across a plate longer in x2 and
+    on the ribbon, whose xi2 block is decoupled.  ``gather`` holds the flat
+    band position of each CSC entry.  An element matrix is kept as
     its values on the local DOF pairs a <= b that a Hessian reaches, and
     ``slot`` (E * pairs) sends them to their band positions, constrained
     DOFs to a dropped bin.  The linear rows carry the same density at every
@@ -701,9 +710,10 @@ class ElementAssembly:
 
     def __init__(self, tables: ElementTables, free: np.ndarray, QW: np.ndarray, QR: np.ndarray):
         dofs, rows = tables.dofs, tables.rows
-        nf = int(free.sum())
+        nf, k = int(free.sum()), dofs.shape[1]
         support = (rows != 0).astype(float)
-        local = np.einsum("qra,rs,qsb->ab", support, tables.coupling.astype(float), support) > 0
+        reach = (tables.coupling.astype(float) @ support).reshape(-1, k)
+        local = support.reshape(-1, k).T @ reach > 0
         index = np.full(free.size, -1)
         index[free] = np.arange(nf)
         loc = index[dofs]
@@ -717,19 +727,34 @@ class ElementAssembly:
         self.indptr = np.searchsorted(key // nf, np.arange(nf + 1)).astype(np.int32)
 
         pattern = sp.csc_matrix((np.ones(key.size), self.indices, self.indptr), shape=(nf, nf))
-        self.perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
-        rank = np.full(nf + 1, -1)  # a constrained DOF (loc -1) ranks -1
-        rank[self.perm] = np.arange(nf)
-        row, col = rank[self.indices], rank[key // nf]
-        self.bandwidth = int(np.abs(row - col).max(initial=0))
+        rcm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+        # the sweep: free DOFs by first + last index of the elements holding
+        # them, ties in DOF order
+        e = np.broadcast_to(np.arange(len(dofs))[:, None], dofs.shape)
+        first, last = np.full(free.size, len(dofs)), np.full(free.size, -1)
+        np.minimum.at(first, dofs, e)
+        np.maximum.at(last, dofs, e)
+        sweep = np.argsort((first + last)[free], kind="stable")
+        col = key // nf
+        del key, pattern  # pattern-sized; not held through the element tables below
+
+        def order(perm):
+            """(half-width of the pattern in the order perm, perm, rank of each DOF)"""
+            rank = np.full(nf + 1, -1)  # a constrained DOF (loc -1) ranks -1
+            rank[perm] = np.arange(nf)
+            return int(np.abs(rank[self.indices] - rank[col]).max(initial=0)), perm, rank
+
+        # the sweep unless RCM's band is narrower (min keeps the first of equals)
+        self.bandwidth, self.perm, rank = min(order(sweep), order(rcm), key=lambda o: o[0])
+        row, col = rank[self.indices], rank[col]
         width = self.bandwidth + 1
         self.size = nf * width
         self.gather = np.minimum(row, col) * width + np.abs(row - col)
-        del key, row, col, pattern  # pattern-sized; not held through the element tables below
+        del row, col
 
         # a density d on rows (i, j) adds d (rows_i[a] rows_j[b] + rows_j[a] rows_i[b])
         # to the element pair (a, b), the second term only when i != j
-        a, b = np.triu_indices(dofs.shape[1])
+        a, b = np.triu_indices(k)
         i, j = tables.pairs.T
         ri, rj = rows[:, i], rows[:, j]
         T = ri[..., a] * rj[..., b] + (i != j)[:, None] * rj[..., a] * ri[..., b]
@@ -746,9 +771,9 @@ class ElementAssembly:
         """Element values on the pairs a <= b of the channel form Q on the
         linear rows; every element of the uniform mesh has the same."""
         t = self.tables
-        lin = t.rows[:, t.linear]
-        a, b = np.triu_indices(t.dofs.shape[1])
-        return np.einsum("q,qia,ij,qjb->ab", t.weights, lin, Q, lin)[a, b]
+        k = t.dofs.shape[1]
+        a, b = np.triu_indices(k)
+        return (t.lin_t.T @ (Q @ t.rows[:, t.linear]).reshape(-1, k))[a, b]
 
     def assemble(self, rem: np.ndarray, cw: float, cr: float) -> BandMatrix:
         """Free-DOF matrix of the density cw QW + cr QR on the linear rows
@@ -762,7 +787,7 @@ class ElementAssembly:
         H + shift |diag H| is not positive definite.
 
         Banded Cholesky (LAPACK ``dpbtrf``, then ``dpbtrs`` per solve) in the
-        RCM order; a nonpositive (or NaN) diagonal entry or a failed
+        plan's order; a nonpositive (or NaN) diagonal entry or a failed
         ``dpbtrf`` is the indefiniteness test.  The shift is in units of H's
         own diagonal, so it does not depend on the units of H.  The factor
         overwrites H's band, which H adds up again from its element values
@@ -849,6 +874,8 @@ class FieldSystem:
         }
         self.bc_mask, self.bc_values, self.free = mask, values, ~mask
         self._plan = None  # Hessian assembly plan and slope forms, built on first use
+        # the last point an incremental problem valued: (bytes, channels, s QW, phi)
+        self._valued = None
 
     def split(self, u: np.ndarray):
         return tuple(u[sl] for sl in self.slices.values())
@@ -1031,40 +1058,52 @@ class FieldSystem:
 class IncrementalProblem:
     """v -> Phi(v) = phi(v) + D^2(anchor, v) / (2 tau) of one time step.
 
-    Keeps the anchor's channel matrix and, for the last point, keyed on a
-    copy of its values, what its one set of products P_W = s QW and
+    Keeps the anchor's channel matrix and, for the last point, keyed on the
+    bytes of its values, what its one set of products P_W = s QW and
     P_R = (s - s_anchor) QR (``FieldSystem._products``) yields: (phi, D^2),
     their reductions, and the stress sig = P_W + P_R / tau, from which the
-    gradient and the Hessian there are read with its slopes.  Holds the
-    system; the system never holds it.
+    gradient and the Hessian there are read with its slopes.  Each valued
+    point also becomes the system's record ``_valued`` (its bytes, channels,
+    P_W and phi), so the next step, anchored at the point this one accepted,
+    starts from the record without evaluating it again: at the anchor
+    D^2 = 0 and sig = P_W.  Holds the system; the system holds only arrays.
     """
 
     def __init__(self, system: FieldSystem, anchor: np.ndarray, tau: float):
         if tau <= 0.0:
             raise ValueError("tau must be positive")
         self.system, self.cr = system, 1.0 / tau
-        self._key = np.array(anchor, dtype=float)
-        ch = system._channels(self._key)
+        v = np.asarray(anchor, dtype=float)
+        self._key = v.tobytes()
+        if system._valued is None or system._valued[0] != self._key:
+            ch = system._channels(v)
+            self._anchor = system._strain(ch)
+            self._evaluate(v, self._key, ch)
+        _, ch, PW, phi = system._valued
         self._anchor = system._strain(ch)
-        self._point = self._evaluate(self._key, ch)
+        self._point = ch[1], PW, (phi, 0.0)
 
-    def _evaluate(self, v: np.ndarray, ch):
-        """(slopes, stress, (phi, D^2)) at v with channels ch."""
+    def _evaluate(self, v: np.ndarray, key: bytes, ch):
+        """(slopes, stress, (phi, D^2)) at v, whose bytes are key, with
+        channels ch; recorded as the system's last valued point."""
         system = self.system
         s = system._strain(ch)
-        d, sig, PR = system._products(s, self._anchor)
-        phi = 0.5 * system._integral(sig, s) - float(np.dot(system._force, v))
+        d, PW, PR = system._products(s, self._anchor)
+        phi = 0.5 * system._integral(PW, s) - float(np.dot(system._force, v))
         parts = phi, system._integral(PR, d)
-        sig += self.cr * PR  # P_W becomes the stress
-        return ch[1], sig, parts
+        system._valued = key, ch, PW, phi
+        PR *= self.cr
+        PR += PW  # P_R becomes the stress; P_W stays in the record
+        return ch[1], PR, parts
 
     def _at(self, v: np.ndarray):
-        if not np.array_equal(v, self._key):
-            # the old point goes before the new one's arrays are made, and
-            # stays gone if making them raises
-            self._key = self._point = None
-            key = np.array(v, dtype=float)
-            self._point = self._evaluate(key, self.system._channels(key))
+        v = np.asarray(v, dtype=float)
+        key = v.tobytes()
+        if key != self._key:
+            # the old point and record go before the new one's arrays are
+            # made, and stay gone if making them raises
+            self._key = self._point = self.system._valued = None
+            self._point = self._evaluate(v, key, self.system._channels(v))
             self._key = key
         return self._point
 

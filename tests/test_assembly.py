@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.polynomial import Polynomial
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from vkribbon import fem, flow, studies
 from vkribbon.fem import (
@@ -33,9 +34,9 @@ FORCES = RibbonForces.from_coeffs(f=(0.2, 0.5), g1=(0.1,), g2=(0.3,))
 TAU = 0.05
 
 
-def plate_system(eps):
+def plate_system(eps, nx=12, ny=4):
     mat = MaterialPair.isotropic(1.0, 1.0, 1.0, 1.0, h2_family=True)
-    return PlateSystem(Mesh2D(l=1.0, nx=12, ny=4), eps, mat, BC, FORCES)
+    return PlateSystem(Mesh2D(l=1.0, nx=nx, ny=ny), eps, mat, BC, FORCES)
 
 
 def ribbon_system():
@@ -46,6 +47,8 @@ def ribbon_system():
 SYSTEMS = {
     "plate eps=0.3": lambda: plate_system(0.3),
     "plate eps=0.05": lambda: plate_system(0.05),
+    # longer across than along: the plan keeps RCM's narrower band
+    "plate 4x12": lambda: plate_system(0.3, nx=4, ny=12),
     "ribbon": ribbon_system,
 }
 
@@ -111,7 +114,8 @@ class TestIncrementalHessian:
         ref = spla.spsolve((Hc + shift * sp.diags(np.abs(Hc.diagonal()))).tocsc(), b)
         x = problem.factor(H, shift)(b)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
-        # the RCM order makes the pattern a band narrower than the matrix
+        # the plan's order (the sweep along the strip, or RCM where that is
+        # narrower) makes the pattern a band narrower than the matrix
         assert s._plan.bandwidth < H.shape[0] // 2
 
 
@@ -456,6 +460,36 @@ def test_no_plan_without_a_hessian(monkeypatch):
     flow.run_trajectory(p, u, TAU, 2 * TAU)
     r.hess_energy(v), p.hess_halfsqdist(u, u), r.local_slope(v)
     assert len(orderings) == 2 and len(constants) == 4
+
+
+def rcm_bandwidth(H):
+    """Half-width of the pattern of H in reverse Cuthill-McKee order."""
+    perm = reverse_cuthill_mckee(H, symmetric_mode=True)
+    rank = np.empty_like(perm)
+    rank[perm] = np.arange(len(perm))
+    coo = H.tocoo()
+    return int(np.abs(rank[coo.row] - rank[coo.col]).max())
+
+
+H1 = MaterialPair.isotropic(1.0, 0.0, 1.0, 0.0)
+BANDS = {
+    # long plates: the sweep along the strip, where RCM gives 107 and 59
+    "plate 48x8": (lambda: PlateSystem(Mesh2D(l=1.0, nx=48, ny=8), 0.05, H1), 65),
+    "plate 24x4": (lambda: PlateSystem(Mesh2D(l=1.0, nx=24, ny=4), 0.05, H1), 41),
+    # RCM, narrower on a plate longer across than along (the sweep gives
+    # 113) and on the ribbon, whose xi2 block meets no other field (10)
+    "plate 8x16": (lambda: PlateSystem(Mesh2D(l=1.0, nx=8, ny=16), 0.05, H1), 89),
+    "ribbon n=12": (lambda: RibbonSystem(Mesh1D(l=1.0, n=12), H1), 7),
+    "ribbon n=64": (lambda: RibbonSystem(Mesh1D(l=1.0, n=64), H1), 7),
+}
+
+
+@pytest.mark.parametrize("name", list(BANDS))
+def test_band_is_never_wider_than_rcm(name):
+    build, width = BANDS[name]
+    s = build()
+    H = s.incremental(s.zero_state(), TAU).hessian(s.zero_state()).tocsc()
+    assert s._plan.bandwidth == width <= rcm_bandwidth(H)
 
 
 def coo_sample_matrix(vals, cols, n_dofs):

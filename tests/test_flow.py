@@ -1,6 +1,7 @@
 """Minimizing movements: closed-form steps, decay oracles, De Giorgi ledger."""
 
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -388,9 +389,38 @@ class Unlent(Chord):
 
 def test_lent_factor_costs_no_extra_band(monkeypatch):
     """The lent factor is dropped before a fresh Hessian is assembled, so
-    lending adds less than one band to the peak of fresh Newton."""
+    lending adds at most one held solver, which keeps one band and the few
+    objects around it alive, to the peak of fresh Newton."""
     s, u0, tau, opts = chord_plate()
-    s.incremental(u0, tau).hessian(u0)  # the plan, made once per system
+    problem = s.incremental(u0, tau)
+    problem.hessian(u0)  # the plan, made once per system
+    tracemalloc.start()
+    solve = problem.factor(problem.hessian(u0))
+    held = tracemalloc.get_traced_memory()[0]
+    del solve
+    solver = held - tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    band = s._plan.n_free * (s._plan.bandwidth + 1) * 8
+    assert band <= solver < 2 * band
+    # no solver is alive when a Hessian is assembled
+    made = []
+    factor, hessian = IncrementalProblem.factor, IncrementalProblem.hessian
+
+    def kept(self, H, shift=0.0):
+        solve = factor(self, H, shift)
+        if solve is not None:
+            made.append(weakref.ref(solve))
+        return solve
+
+    def assembled(self, v):
+        assert all(ref() is None for ref in made)
+        return hessian(self, v)
+
+    monkeypatch.setattr(IncrementalProblem, "factor", kept)
+    monkeypatch.setattr(IncrementalProblem, "hessian", assembled)
+    traj = run_trajectory(s, u0, tau, 5 * tau, opts)
+    assert sum(r.factorizations for r in traj.reports) == len(made) > 1
+    monkeypatch.undo()
     peaks = []
     for lender in (Chord, Unlent):
         monkeypatch.setattr(flow, "Chord", lender)
@@ -398,5 +428,4 @@ def test_lent_factor_costs_no_extra_band(monkeypatch):
         run_trajectory(s, u0, tau, 5 * tau, opts)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
-    band = s._plan.n_free * (s._plan.bandwidth + 1) * 8
-    assert peaks[0] < peaks[1] + band
+    assert peaks[0] <= peaks[1] + solver

@@ -2,9 +2,10 @@
 
 Its value and gradient must agree with the public system methods (its
 Hessian is checked against them in test_assembly.py), its channel cache
-must never serve a stale point, the stepper must need nothing from a
-system but ``incremental`` and ``free``, and no object it builds may keep
-a system alive through a reference cycle.
+and the system's record of the last valued point must never serve a
+stale point, a step must start from that record, the stepper must need
+nothing from a system but ``incremental`` and ``free``, and no object it
+builds may keep a system alive through a reference cycle.
 """
 
 import gc
@@ -96,6 +97,11 @@ class TestAgainstPublicMethods:
         check(w)
         w[np.flatnonzero(s.free)[::3]] += 1e-3  # same array, new values
         check(w)
+        # nor does the system's record of the last valued point, the next
+        # anchor's start
+        p.parts(w)
+        w[s.free] += 1e-3
+        assert s.incremental(w, TAU).parts(w) == (s.energy(w), 0.0)
 
 
 class Spy:
@@ -145,8 +151,11 @@ def test_stepper_asks_only_for_the_incremental_problem(build):
         seen.clear()
         u, rep = incremental_step(spy, TAU, u, SolverOptions(tol=1e-9), step_index=n)
         iters += rep.newton_iters
-        # every trial point has its element rows evaluated once
-        assert len(seen) == len(set(seen)) > rep.newton_iters
+        # every trial point has its element rows evaluated once; every
+        # Newton step is full here, so the trial points are the iterates,
+        # and the anchor only on the first step: later steps start from
+        # the point the step before accepted, which the system recorded
+        assert len(seen) == len(set(seen)) == rep.newton_iters + (n == 0)
     assert iters > 3
     assert spy.asked == {"incremental", "free"}
 
@@ -168,10 +177,11 @@ def test_each_valued_point_reduces_its_forms_once(build, monkeypatch):
         products.clear(), valued.clear()
         u, rep = incremental_step(system, TAU, u, SolverOptions(tol=1e-9), step_index=n)
         # one set of products (s QW, d QR) per point whose value is asked
-        # for: the warm start and the trial points, the accepted one not
-        # again at the end, nor for its gradient or Hessian
+        # for: the trial points, the accepted one not again at the end, nor
+        # for its gradient or Hessian, and the warm start on the first step
+        # only, since later steps start from the recorded accepted point
         assert rep.newton_iters > 0 and len(valued) > len(set(valued))
-        assert len(products) == len(set(valued))
+        assert len(products) == len(set(valued)) - (n > 0) == rep.newton_iters + (n == 0)
     # a gradient and a Hessian at a valued point reuse its products
     problem = system.incremental(u, TAU)
     v = u + 1e-3 * problem.grad(u)
@@ -179,6 +189,28 @@ def test_each_valued_point_reduces_its_forms_once(build, monkeypatch):
     made = len(products)
     problem.grad(v), problem.hessian(v)
     assert len(products) == made
+
+
+@pytest.mark.parametrize("build", [nonlinear_ribbon, nonlinear_plate])
+def test_a_trajectory_values_each_point_once(build, monkeypatch):
+    system, u0 = build()
+    products = []
+    make = system._products
+    monkeypatch.setattr(system, "_products", lambda s, s_a: products.append(1) or make(s, s_a))
+
+    def run(s):
+        return run_trajectory(s, u0, TAU, 4 * TAU, SolverOptions(tol=1e-9), s.local_slope)
+
+    traj = run(system)
+    # each Newton iterate once (every step is full here) and u0: a step's
+    # anchor is the point the step before valued last
+    assert len(products) == sum(r.newton_iters for r in traj.reports) + 1
+    # the record changes no number: a second run on the same system and a
+    # run on a fresh one give the same ledger, bit for bit
+    ledger = np.array(traj.ledger_rows())
+    for other in (run(system), run(build()[0])):
+        assert np.array_equal(np.array(other.ledger_rows()), ledger, equal_nan=True)
+        assert all(np.array_equal(a, b) for a, b in zip(other.states, traj.states))
 
 
 @pytest.mark.parametrize("name", list(SYSTEMS))
