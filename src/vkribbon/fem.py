@@ -13,22 +13,23 @@ All meshes are uniform, so the basis derivatives at an element's
 quadrature points form one reference table shared by every element.
 ElementTables pairs that table with the element-DOF list: ``evaluate``
 gathers the element coefficients and yields every row value at every
-point in one matrix product, and ``split_scatter`` turns per-point
-coefficients on the linear and the slope rows into a DOF vector with one
-product each, against tables with the quadrature weights folded in, and
-one bincount.  The strain channels, which FieldSystem writes once, are
-the linear element rows a system declares plus halved products of its
-slope rows.  Every kernel is a flat 2D product on the (points x channels)
-matrix, and a trial point of a time step makes one set of channel-form
-products, s QW and (s - s_anchor) QR, from which its value, gradient and
-Hessian are all read.  An ElementAssembly plan, made on the first
-Hessian, orders the fixed pattern of the free DOFs into a narrow band,
-sorting them along the strip (by the first plus the last index of the
-elements holding them) unless reverse Cuthill-McKee's band is narrower,
-and computes the element values of the channel forms on the linear rows
-once; each Hessian adds the rest, one product of the slopes with constant
-slope forms, with one more matrix product, and keeps its element values,
-which one bincount adds up into LAPACK band storage.  The plan factors
+point in one matrix product; ``split_evaluate`` yields the linear and
+the slope rows from one gather and one product each, and its mirror
+``split_scatter`` turns per-point coefficients on those rows into a DOF
+vector with one product each, against tables with the quadrature weights
+folded in, and one bincount.  The strain channels, which FieldSystem
+writes once, are the linear element rows a system declares plus halved
+products of its slope rows.  Every kernel is a flat 2D product on the
+(points x channels) matrix, and a trial point of a time step makes one
+set of channel-form products, s QW and (s - s_anchor) QR, from which its
+value, gradient and Hessian are all read.  An ElementAssembly plan, made
+on the first Hessian, orders the fixed pattern of the free DOFs into a
+narrow band, sorting them along the strip (by the first plus the last
+index of the elements holding them) unless reverse Cuthill-McKee's band
+is narrower, and computes the element values of the channel forms on the
+linear rows once; each Hessian adds the rest, one product of the slopes
+with constant slope forms, with one more matrix product, and keeps its
+element values, which one bincount adds up into LAPACK band storage.  The plan factors
 that band in place by direct LAPACK calls (banded Cholesky, unscaled or
 with its diagonal raised by a given multiple of |diag H|) into a solver
 that outlives it.
@@ -623,8 +624,10 @@ class ElementTables:
     ``linear`` plus terms quadratic in the rows ``slope``, so a Hessian
     density is the channel form on the linear rows, the same at every
     point, plus a remainder on the row pairs ``pairs`` (i, j) only.
-    ``lin_t`` and ``slope_t`` (nq * n, k) are the linear and slope rows
-    with the quadrature weights folded in, the tables of ``split_scatter``.
+    ``lin_e`` and ``slope_e`` (k, nq * n) are the linear and the slope
+    rows, the tables of ``split_evaluate``; ``lin_t`` and ``slope_t``
+    (nq * n, k) are the same rows with the quadrature weights folded in,
+    the tables of ``split_scatter``.
     """
 
     def __init__(self, dofs, rows, weights, coupling, n_dofs: int, linear, slope, pairs):
@@ -633,6 +636,8 @@ class ElementTables:
         self.linear, self.pairs = np.asarray(linear), np.asarray(pairs)
         self.point_weights = np.tile(weights, len(dofs))
         self.flat_t = rows.reshape(-1, rows.shape[-1]).T.copy()
+        self.lin_e = rows[:, linear].reshape(-1, rows.shape[-1]).T.copy()
+        self.slope_e = rows[:, slope].reshape(-1, rows.shape[-1]).T.copy()
         weighted = rows * weights[:, None, None]
         self.lin_t = weighted[:, linear].reshape(-1, rows.shape[-1])
         self.slope_t = weighted[:, slope].reshape(-1, rows.shape[-1])
@@ -640,6 +645,13 @@ class ElementTables:
     def evaluate(self, u: np.ndarray) -> np.ndarray:
         """Every row value at every point, (E, nq, r), from one gather and one product."""
         return (u[self.dofs] @ self.flat_t).reshape(self.dofs.shape[:1] + self.rows.shape[:2])
+
+    def split_evaluate(self, u: np.ndarray):
+        """The linear and the slope rows at every point, (E, nq, n) each,
+        from one gather and one product each: the mirror of split_scatter."""
+        c = u[self.dofs]
+        shape = self.dofs.shape[:1] + (len(self.weights), -1)
+        return (c @ self.lin_e).reshape(shape), (c @ self.slope_e).reshape(shape)
 
     def split_scatter(self, lin: np.ndarray, slope: np.ndarray) -> np.ndarray:
         """The DOF vector of sum_e sum_q w_q (lin . rows_q[linear] + slope .
@@ -857,9 +869,7 @@ class FieldSystem:
         for k, (a, b) in enumerate(cls.MEMBRANE_SLOPES):
             D2[k, a, b] += 0.5
             D2[k, b, a] += 0.5
-        # index forms of the rows and of the factors of g_a g_b, g (x) g and sig_m (x) g
-        cls._linear, cls._slope = _row_index(cls.LINEAR_ROWS), _row_index(cls.SLOPE_ROWS)
-        cls._ga, cls._gb = (_row_index(ab) for ab in zip(*cls.MEMBRANE_SLOPES))
+        # index forms of the factors of g (x) g and sig_m (x) g
         cls._gc, cls._gd = _row_index(np.repeat(range(ng), ng)), _row_index(np.tile(range(ng), ng))
         cls._sk, cls._sd = _row_index(np.repeat(range(nm), ng)), _row_index(np.tile(range(ng), nm))
         slope, membrane = cls.SLOPE_ROWS, cls.LINEAR_ROWS[:nm]
@@ -919,15 +929,15 @@ class FieldSystem:
 
     def _channels(self, u: np.ndarray):
         """Element-local strain s (E, nq, ns) and slopes g (E, nq, ng)."""
-        R = self._tables.evaluate(u)
-        g = R[..., self._slope]
-        s = R[..., self._linear]
-        s[..., :len(self._D2)] += 0.5 * g[..., self._ga] * g[..., self._gb]
+        s, g = self._tables.split_evaluate(u)
+        for k, (a, b) in enumerate(self.MEMBRANE_SLOPES):
+            s[..., k] += 0.5 * g[..., a] * g[..., b]
         return s, g
 
     def _integral(self, P: np.ndarray, s: np.ndarray) -> float:
-        """int P . s for a channel matrix s (E * nq, ns) and its product P with a form."""
-        return float((self._tables.point_weights @ (P * s)).sum())
+        """int P . s for a channel matrix s (E * nq, ns) and its product P with a
+        form: the weighted sum of the per-point dot products, without forming P * s."""
+        return float(self._tables.point_weights @ np.einsum("qc,qc->q", P, s))
 
     def _strain(self, ch) -> np.ndarray:
         """The (E * nq, ns) channel matrix of channels ch, a view."""
@@ -983,10 +993,10 @@ class FieldSystem:
         """ds/du . du at channels ch, (E, nq, ns): the linear rows of du plus
         1/2 (g_a dg_b + dg_a g_b) on the membrane channel of the pair (a, b),
         dg being the slopes of du."""
-        R = self._tables.evaluate(du)
-        g, dg, ga, gb = ch[1], R[..., self._slope], self._ga, self._gb
-        h = R[..., self._linear]
-        h[..., :len(self._D2)] += 0.5 * (g[..., ga] * dg[..., gb] + dg[..., ga] * g[..., gb])
+        h, dg = self._tables.split_evaluate(du)
+        g = ch[1]
+        for k, (a, b) in enumerate(self.MEMBRANE_SLOPES):
+            h[..., k] += 0.5 * (g[..., a] * dg[..., b] + dg[..., a] * g[..., b])
         return h
 
     def _slope_solve(self, ch):

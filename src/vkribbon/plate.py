@@ -15,7 +15,7 @@ viscous form, or its eps-indexed family when the material carries one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -197,11 +197,43 @@ class RecoveryInputs:
     The corrections multiply polynomial cutoffs whose zone width shrinks
     proportionally to eps; a fixed-width cutoff would leave an
     eps-independent energy offset and the recovery energies would stall
-    above the target.
+    above the target.  The target's fields at the x-nodes of a plate mesh
+    do not depend on eps: ``build_recovery`` samples them and checks the
+    target's traces once per x-node grid and boundary data, and keeps the
+    samples here, arrays only, so one RecoveryInputs serves an eps-sweep.
     """
 
     target: RibbonState
     cutoff_width: float = 0.1
+    _sampled: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _samples(self, x1: np.ndarray, bc: BoundaryData) -> dict:
+        """The target's fields and their derivatives at the points x1, after
+        checking its traces against bc; kept for the next call with the same
+        points, target values and bc."""
+        target = self.target
+        key = x1.tobytes(), target.vector.tobytes(), bc
+        if self._sampled is not None and self._sampled[0] == key:
+            return self._sampled[1]
+        mesh1 = target.mesh
+        # target must satisfy the 1D boundary data of the plate's lateral traces
+        check_traces(target.vector, *dirichlet_1d(mesh1, bc), tol=1e-10)
+        p1, h3 = P1Space(mesh1), Hermite3Space(mesh1)
+        samples = {
+            "theta": p1.evaluate(target.theta, x1, 0),
+            "dtheta": _node_eval(p1, target.theta, x1, 1),
+            "w": h3.evaluate(target.w, x1, 0),
+            "dw": h3.evaluate(target.w, x1, 1),
+            "ddw": _node_eval(h3, target.w, x1, 2),
+            "dddw": _node_eval(h3, target.w, x1, 3),
+            "xi1": p1.evaluate(target.xi1, x1, 0),
+            "dxi1": _node_eval(p1, target.xi1, x1, 1),
+            "xi2": h3.evaluate(target.xi2, x1, 0),
+            "dxi2": h3.evaluate(target.xi2, x1, 1),
+            "ddxi2": _node_eval(h3, target.xi2, x1, 2),
+        }
+        self._sampled = key, samples
+        return samples
 
 
 def _smoothstep_cutoff(x, l, delta):
@@ -244,67 +276,46 @@ def build_recovery(system: PlateSystem, inputs: RecoveryInputs) -> np.ndarray:
     Bernoulli-Navier embedding with the quadratic twist compensation.  All
     corrections vanish on the lateral boundary through the cutoff, and the
     constrained DOFs are enforced exactly afterwards.  The target's fields
-    are evaluated once per x-node of the plate mesh; only the polynomial
-    x2-profiles of the ansatz are formed node by node.
+    are sampled once per x-node of the plate mesh, and once per
+    RecoveryInputs for all widths on that mesh; each call forms only the
+    cutoff of zone width cutoff_width * eps, the correctors, and the
+    polynomial x2-profiles of the ansatz node by node.
     """
-    target = inputs.target
     eps = system.eps
-    mesh1 = target.mesh
-    if abs(mesh1.l - system.mesh.l) > 1e-14 * mesh1.l:
+    mesh1, mesh2 = inputs.target.mesh, system.mesh
+    if abs(mesh1.l - mesh2.l) > 1e-14 * mesh1.l:
         raise ValueError("target and plate meshes must share the interval length")
-    # target must satisfy the 1D boundary data of the plate's lateral traces
-    check_traces(target.vector, *dirichlet_1d(mesh1, system.bc), tol=1e-10)
+    x1 = mesh2.x_nodes
+    ts = inputs._samples(x1, system.bc)
+    k_alpha = system.material.W1.argmin_coeff  # alpha*(q11, q12) coefficients of the elastic form
 
-    p1, h3 = P1Space(mesh1), Hermite3Space(mesh1)
-    m = system.material
-    k_alpha = m.W1.argmin_coeff  # alpha*(q11, q12) coefficients of the elastic form
+    delta = min(inputs.cutoff_width * eps, 0.45 * mesh1.l)
+    chi, dchi = _smoothstep_cutoff(x1, mesh1.l, delta)
+    th, dth = ts["theta"], ts["dtheta"]
+    # transverse curvature corrector: gamma = alpha*(w'', theta');
+    # identically zero under vanishing argmin maps
+    gam = k_alpha[0] * ts["ddw"] + k_alpha[1] * dth
+    dgam = k_alpha[0] * ts["dddw"]  # theta'' = 0 for P1 twist
+    # membrane corrector z = alpha*(q11-field, 0)
+    za = k_alpha[0] * (ts["dxi1"] + 0.5 * ts["dw"] ** 2)
+    zb = -k_alpha[0] * ts["ddxi2"]
+    fields = {
+        "theta": th * chi,
+        "dtheta": dth * chi + th * dchi,
+        "w": ts["w"],
+        "dw": ts["dw"],
+        "xi1": ts["xi1"],
+        "xi2": ts["xi2"],
+        "dxi2": ts["dxi2"],
+        "gam": gam * chi,
+        "dgam": dgam * chi + gam * dchi,
+        "za": za * chi,
+        "zb": zb * chi,
+    }
 
-    delta = inputs.cutoff_width * eps
-    delta = min(delta, 0.45 * mesh1.l)
-
-    def fields(x1):
-        chi, dchi = _smoothstep_cutoff(x1, mesh1.l, delta)
-        th = p1.evaluate(target.theta, x1, 0)
-        dth = _node_eval(p1, target.theta, x1, 1)
-        th_c = th * chi
-        dth_c = dth * chi + th * dchi
-        wv = h3.evaluate(target.w, x1, 0)
-        dw = h3.evaluate(target.w, x1, 1)
-        ddw = _node_eval(h3, target.w, x1, 2)
-        dddw = _node_eval(h3, target.w, x1, 3)
-        xi1 = p1.evaluate(target.xi1, x1, 0)
-        dxi1 = _node_eval(p1, target.xi1, x1, 1)
-        xi2 = h3.evaluate(target.xi2, x1, 0)
-        dxi2 = h3.evaluate(target.xi2, x1, 1)
-        ddxi2 = _node_eval(h3, target.xi2, x1, 2)
-
-        # transverse curvature corrector: gamma = alpha*(w'', theta');
-        # identically zero under vanishing argmin maps
-        gam = k_alpha[0] * ddw + k_alpha[1] * dth
-        dgam = k_alpha[0] * dddw  # theta'' = 0 for P1 twist
-        gam_c = gam * chi
-        dgam_c = dgam * chi + gam * dchi
-        # membrane corrector z = alpha*(q11-field, 0)
-        za = k_alpha[0] * (dxi1 + 0.5 * dw**2)
-        zb = -k_alpha[0] * ddxi2
-        return {
-            "theta": th_c,
-            "dtheta": dth_c,
-            "w": wv,
-            "dw": dw,
-            "xi1": xi1,
-            "xi2": xi2,
-            "dxi2": dxi2,
-            "gam": gam_c,
-            "dgam": dgam_c,
-            "za": za * chi,
-            "zb": zb * chi,
-        }
-
-    # the fields depend on x1 alone: evaluate them once per x-node and give
-    # each the ny + 1 nodes it owns in the x-major node order
-    mesh2 = system.mesh
-    f = {k: np.repeat(v, mesh2.ny + 1) for k, v in fields(mesh2.x_nodes).items()}
+    # the fields depend on x1 alone: give each x-node's values the ny + 1
+    # nodes it owns in the x-major node order
+    f = {k: np.repeat(v, mesh2.ny + 1) for k, v in fields.items()}
     x2 = mesh2.node_coords()[1]
     quad = 0.5 * (x2 + 0.5) ** 2
     zint = f["za"] * (x2 + 0.5) + 0.5 * f["zb"] * (x2**2 - 0.25)

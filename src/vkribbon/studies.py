@@ -170,9 +170,10 @@ def epsilon_study(
     # t = 0 row measures the static recovery projection error
     times = [0.0] + [f * T for f in SAMPLE_FRACTIONS]
     gap0 = {}
+    inputs = RecoveryInputs(ribbon.state(u0), cutoff_width)
     for eps in eps_list:
         plate = PlateSystem(mesh2, eps, material, bc, forces)
-        w0 = build_recovery(plate, RecoveryInputs(ribbon.state(u0), cutoff_width))
+        w0 = build_recovery(plate, inputs)
         gap0[eps] = abs(plate.energy(w0) - ribbon.energy(u0))
         traj2 = run_trajectory(plate, w0, tau, T, options)
         for t in times:
@@ -230,9 +231,10 @@ def commutativity_report(
 
     plates = {}
     traj2 = {}
+    inputs = RecoveryInputs(ribbon.state(u0), cutoff_width)
     for eps in eps_list:
         plate = PlateSystem(mesh2, eps, material, bc, forces)
-        w0 = build_recovery(plate, RecoveryInputs(ribbon.state(u0), cutoff_width))
+        w0 = build_recovery(plate, inputs)
         plates[eps] = plate
         for tau in tau_list:
             traj2[(eps, tau)] = run_trajectory(plate, w0, tau, T, options)
@@ -303,10 +305,11 @@ def gamma_check(
     for name, polys in targets.items():
         v = ribbon.interpolate(*polys)
         phi0 = ribbon.energy(v)
+        inputs = RecoveryInputs(ribbon.state(v), cutoff_width)
         errs = []
         for eps in eps_list:
             plate = PlateSystem(mesh2, eps, material, bc)
-            u = build_recovery(plate, RecoveryInputs(ribbon.state(v), cutoff_width))
+            u = build_recovery(plate, inputs)
             e = plate.energy(u)
             errs.append(abs(e - phi0))
             report.add(name, eps, e, phi0, errs[-1])

@@ -119,6 +119,19 @@ class TestIncrementalHessian:
         assert s._plan.bandwidth < H.shape[0] // 2
 
 
+@pytest.mark.parametrize("name", list(SYSTEMS))
+def test_split_evaluate_matches_evaluate(name):
+    """The channel kernel's linear and slope rows are the matching columns
+    of the all-rows evaluation."""
+    s = SYSTEMS[name]()
+    u = random_state(s, np.random.default_rng(69))
+    R = s._tables.evaluate(u)
+    for part, rows in zip(s._tables.split_evaluate(u), (s.LINEAR_ROWS, s.SLOPE_ROWS)):
+        ref = R[..., rows]
+        assert part.shape == ref.shape
+        assert np.abs(part - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 def full_density(s, anchor, u, cw, cr):
     """The weighted (E, nq, r, r) Hessian density of cw * phi + cr * D^2(anchor, .)/2
     from the channels' Jacobian J = ds/drows and their second derivatives D2:

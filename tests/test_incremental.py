@@ -119,14 +119,14 @@ class Spy:
 def count_evaluations(system):
     """Record the values of every state whose element rows are evaluated."""
     tables = system._tables
-    evaluate = tables.evaluate
+    evaluate = tables.split_evaluate
     seen = []
 
     def counted(u):
         seen.append(u.tobytes())
         return evaluate(u)
 
-    tables.evaluate = counted
+    tables.split_evaluate = counted
     return seen
 
 

@@ -274,6 +274,23 @@ class TestRecovery:
         with pytest.raises(ValueError):
             build_recovery(ps, RecoveryInputs(target=target))
 
+    def test_one_inputs_serves_every_width_and_mesh(self):
+        material, bc = STATION_MATERIALS["iso"], STATION_BCS["bc"]
+        rs = RibbonSystem(Mesh1D(l=1.0, n=16), material, bc)
+        v = rs.interpolate(0.5 * PARABOLA, 0.3 * BUMP, 2.0 * BUMP, 4.0 * BUMP)
+        shared = RecoveryInputs(target=rs.state(v))
+        for nx in (12, 20, 12):
+            for eps in (0.2, 0.1, 0.05):
+                ps = PlateSystem(Mesh2D(l=1.0, nx=nx, ny=4), eps, material, bc)
+                fresh = build_recovery(ps, RecoveryInputs(target=rs.state(v)))
+                assert np.array_equal(build_recovery(ps, shared), fresh)
+        # the kept samples follow the target's values and the boundary data
+        shared.target.theta[1:-1] += 0.1
+        fresh = build_recovery(ps, RecoveryInputs(target=rs.state(shared.target.vector)))
+        assert np.array_equal(build_recovery(ps, shared), fresh)
+        with pytest.raises(ValueError):
+            build_recovery(PlateSystem(ps.mesh, 0.05, material), shared)
+
     def test_twist_only_second_order(self, mat_h1):
         n = 96
         rs = RibbonSystem(Mesh1D(l=1.0, n=n), mat_h1)

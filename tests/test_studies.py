@@ -5,7 +5,7 @@ import pytest
 from numpy.polynomial import Polynomial
 
 from vkribbon import studies
-from vkribbon.fem import BoundaryData, Mesh1D, Mesh2D
+from vkribbon.fem import BoundaryData, Hermite3Space, Mesh1D, Mesh2D, P1Space
 from vkribbon.flow import SolverOptions, dissipation_ledger, run_trajectory
 from vkribbon.forms import MaterialPair
 from vkribbon.plate import PlateSystem, RecoveryInputs, build_recovery
@@ -303,6 +303,26 @@ class TestGammaCheck:
         assert rep.summary["orders"]["generic"] >= 0.9
         errs = [r[4] for r in rep.rows if r[0] == "generic"]
         assert all(a > b for a, b in zip(errs, errs[1:]))
+
+
+    def test_samples_each_target_once(self, monkeypatch):
+        calls = []
+        for space in (P1Space, Hermite3Space):
+            evaluate = space.evaluate
+            monkeypatch.setattr(
+                space, "evaluate", lambda *a, f=evaluate, **k: calls.append(1) or f(*a, **k)
+            )
+        targets = {
+            "twist": ((0.0,), (0.0,), (0.0,), tuple((4.0 * BUMP).coef)),
+            "bent": ((0.0,), tuple((0.2 * BUMP).coef), tuple((2.0 * BUMP).coef), (0.0,)),
+        }
+        counts = []
+        for eps_list in ([0.2, 0.1], [0.2, 0.1, 0.05, 0.025]):
+            calls.clear()
+            gamma_check(H1, targets, eps_list, Mesh1D(l=1.0, n=8), Mesh2D(l=1.0, nx=8, ny=2))
+            counts.append(len(calls))
+        # the 1D fields are sampled per target, the widths only cut them off
+        assert counts[0] == counts[1] > 0
 
 
 class TestGeodesicConvexity:
