@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +60,8 @@ def _floats(text, key):
         raise ScenarioError(f"{key}: cannot parse float list from {text!r}") from exc
     if not vals:
         raise ScenarioError(f"{key}: empty value")
+    if not all(map(math.isfinite, vals)):
+        raise ScenarioError(f"{key}: numbers must be finite, got {text!r}")
     return vals
 
 

@@ -11,28 +11,31 @@
 
 All meshes are uniform, so the basis derivatives at an element's
 quadrature points form one reference table shared by every element.
-ElementTables pairs that table with the element-DOF list: ``evaluate``
-gathers the element coefficients and yields every row value at every
-point in one matrix product; ``split_evaluate`` yields the linear and
-the slope rows from one gather and one product each, and its mirror
-``split_scatter`` turns per-point coefficients on those rows into a DOF
-vector with one product each, against tables with the quadrature weights
-folded in, and one bincount.  The strain channels, which FieldSystem
-writes once, are the linear element rows a system declares plus halved
-products of its slope rows.  Every kernel is a flat 2D product on the
-(points x channels) matrix, and a trial point of a time step makes one
-set of channel-form products, s QW and (s - s_anchor) QR, from which its
-value, gradient and Hessian are all read.  An ElementAssembly plan, made
-on the first Hessian, orders the fixed pattern of the free DOFs into a
-narrow band, sorting them along the strip (by the first plus the last
-index of the elements holding them) unless reverse Cuthill-McKee's band
-is narrower, and computes the element values of the channel forms on the
-linear rows once; each Hessian adds the rest, one product of the slopes
-with constant slope forms, with one more matrix product, and keeps its
-element values, which one bincount adds up into LAPACK band storage.  The plan factors
-that band in place by direct LAPACK calls (banded Cholesky, unscaled or
-with its diagonal raised by a given multiple of |diag H|) into a solver
-that outlives it.
+ElementTables pairs that table with the element-DOF list and keeps
+values channel-major: a row, strain channel or slope is one contiguous
+array over all quadrature points (point q of element e at q * E + e).
+The element coefficients are gathered as one (E, k) block, so
+``split_evaluate`` yields the linear and the slope rows in one matrix
+product with (row x point, k) tables, and its mirror ``split_scatter``
+turns coefficients on those rows back into a DOF vector with one product
+each, against tables with the quadrature weights folded in, and one
+bincount.  The strain channels, which FieldSystem writes once, are the
+linear element rows a system declares plus halved products of its slope
+rows; everything else on them (the products with the channel forms, the
+integrals, the slope term of the gradient, the linearization) is whole-row
+arithmetic, and a trial point of a time step makes one set of
+channel-form products, QW s and QR (s - s_anchor), from which its value,
+gradient and Hessian are all read.  An ElementAssembly plan, made on the
+first Hessian, orders the fixed pattern of the free DOFs into a narrow
+band, sorting them along the strip (by the first plus the last index of
+the elements holding them) unless reverse Cuthill-McKee's band is
+narrower, computes the element values of the channel forms on the linear
+rows once, and folds the constant slope forms into two element tables: a
+Hessian is then one product with the slopes and one with their products
+and the membrane stress, and one bincount adds its element values up into
+LAPACK band storage.  The plan factors that band in place by direct
+LAPACK calls (banded Cholesky, unscaled or with its diagonal raised by a
+given multiple of |diag H|) into a solver that outlives it.
 A space's sparse sampling matrix (rows = quadrature points, columns =
 DOFs) builds the load vector, once per system.
 """
@@ -613,53 +616,60 @@ def check_traces(u: np.ndarray, mask: np.ndarray, values: np.ndarray, tol: float
 
 
 class ElementTables:
-    """Element-local view of the packed DOFs on a uniform mesh.
+    """Element-local view of the packed DOFs on a uniform mesh, channel-major.
 
     ``dofs`` (E, k) lists the global DOFs of each element; ``rows`` (nq, r, k)
     holds r reference rows (scaled basis derivatives) at the nq quadrature
     points of an element, the same for every element, ``weights`` (nq,) its
-    quadrature weights, ``point_weights`` (E * nq,) the weight of every
-    point in element order, and ``coupling`` (r, r) marks the row pairs a
+    quadrature weights, and ``coupling`` (r, r) marks the row pairs a
     Hessian density may couple.  The strain channels are the rows
-    ``linear`` plus terms quadratic in the rows ``slope``, so a Hessian
-    density is the channel form on the linear rows, the same at every
-    point, plus a remainder on the row pairs ``pairs`` (i, j) only.
-    ``lin_e`` and ``slope_e`` (k, nq * n) are the linear and the slope
-    rows, the tables of ``split_evaluate``; ``lin_t`` and ``slope_t``
-    (nq * n, k) are the same rows with the quadrature weights folded in,
-    the tables of ``split_scatter``.
+    ``linear`` plus terms quadratic in the rows ``slope``; ``pairs`` lists
+    the row pairs (i, j) on which a Hessian density is not the channel
+    form on the linear rows (the assembly plan folds them).
+
+    Values live channel-major: a row (or channel) c of n holds its value
+    at every point, ``X[c, q * E + e]`` at the local point q of element e,
+    so an (n, nq * E) array reshaped to (n * nq, E) is the operand of one
+    matrix product with the element coefficients, gathered as (E, k) and
+    read transposed.  ``point_weights`` (nq * E,) is the quadrature weight
+    of every point in that order.  ``all_e`` (r * nq, k) holds every row,
+    the table of ``evaluate``; ``split_e`` the linear rows over the slope
+    rows, the table of ``split_evaluate``; ``lin_t`` and ``slope_t`` (n *
+    nq, k) are the same rows with the quadrature weights folded in, the
+    tables of ``split_scatter``.
     """
 
     def __init__(self, dofs, rows, weights, coupling, n_dofs: int, linear, slope, pairs):
         self.dofs, self.rows, self.weights, self.coupling = dofs, rows, weights, coupling
         self.n_dofs = n_dofs
-        self.linear, self.pairs = np.asarray(linear), np.asarray(pairs)
-        self.point_weights = np.tile(weights, len(dofs))
-        self.flat_t = rows.reshape(-1, rows.shape[-1]).T.copy()
-        self.lin_e = rows[:, linear].reshape(-1, rows.shape[-1]).T.copy()
-        self.slope_e = rows[:, slope].reshape(-1, rows.shape[-1]).T.copy()
-        weighted = rows * weights[:, None, None]
-        self.lin_t = weighted[:, linear].reshape(-1, rows.shape[-1])
-        self.slope_t = weighted[:, slope].reshape(-1, rows.shape[-1])
+        self.linear, self.slope = np.asarray(linear), np.asarray(slope)
+        self.pairs = np.asarray(pairs)
+        e, (nq, _, k) = len(dofs), rows.shape
+        self.point_weights = np.repeat(weights, e)
+        by_row = rows.transpose(1, 0, 2)  # (r, nq, k)
+        self.all_e = by_row.reshape(-1, k)
+        self.split_e = np.concatenate([by_row[linear], by_row[slope]]).reshape(-1, k)
+        n = len(linear) * nq
+        weighted = self.split_e * np.tile(weights, len(linear) + len(slope))[:, None]
+        self.lin_t, self.slope_t = weighted[:n], weighted[n:]
 
     def evaluate(self, u: np.ndarray) -> np.ndarray:
-        """Every row value at every point, (E, nq, r), from one gather and one product."""
-        return (u[self.dofs] @ self.flat_t).reshape(self.dofs.shape[:1] + self.rows.shape[:2])
+        """Every row at every point, (r, nq * E), from one gather and one product."""
+        return (self.all_e @ u[self.dofs].T).reshape(self.rows.shape[1], -1)
 
     def split_evaluate(self, u: np.ndarray):
-        """The linear and the slope rows at every point, (E, nq, n) each,
-        from one gather and one product each: the mirror of split_scatter."""
-        c = u[self.dofs]
-        shape = self.dofs.shape[:1] + (len(self.weights), -1)
-        return (c @ self.lin_e).reshape(shape), (c @ self.slope_e).reshape(shape)
+        """The linear rows (n, nq * E) and the slope rows (ng, nq * E), views
+        of one product with one gather: the mirror of split_scatter."""
+        out = (self.split_e @ u[self.dofs].T).reshape(len(self.linear) + len(self.slope), -1)
+        return out[: len(self.linear)], out[len(self.linear):]
 
     def split_scatter(self, lin: np.ndarray, slope: np.ndarray) -> np.ndarray:
         """The DOF vector of sum_e sum_q w_q (lin . rows_q[linear] + slope .
-        rows_q[slope]) for per-point coefficients lin and slope (E * nq, n)
+        rows_q[slope]) for coefficients lin (n, nq * E) and slope (ng, nq * E)
         on the linear and the slope rows: one product each and a bincount."""
         e = len(self.dofs)
-        local = lin.reshape(e, -1) @ self.lin_t
-        local += slope.reshape(e, -1) @ self.slope_t
+        local = lin.reshape(-1, e).T @ self.lin_t
+        local += slope.reshape(-1, e).T @ self.slope_t
         return np.bincount(self.dofs.ravel(), weights=local.ravel(), minlength=self.n_dofs)
 
 
@@ -710,17 +720,26 @@ class ElementAssembly:
     columns of nodes, and the sweep's band is 65 wide where RCM's is 107
     (plate 48 x 8), while RCM stays narrower across a plate longer in x2 and
     on the ribbon, whose xi2 block is decoupled.  ``gather`` holds the flat
-    band position of each CSC entry.  An element matrix is kept as
-    its values on the local DOF pairs a <= b that a Hessian reaches, and
-    ``slot`` (E * pairs) sends them to their band positions, constrained
+    band position of each CSC entry.
+
+    An element matrix is kept as its values on the local DOF pairs a <= b
+    that a Hessian reaches, ``element_pairs`` (2, pairs), and ``slot``
+    (pairs * E, pair-major) sends them to their band positions, constrained
     DOFs to a dropped bin.  The linear rows carry the same density at every
-    point, so the element values of the forms QW and QR there, ``KW`` and
-    ``KR``, are computed once; the remainder density on the row pairs
-    turns into element values by one product with ``T``: (point, row pair)
-    -> element pair, quadrature weights included.
+    point, so the element values of the forms QW and QR there, ``K`` (2,
+    pairs), are computed once.  The rest of the density on the row pairs
+    ``tables.pairs`` is z F for the inputs z of ``FieldSystem._hessian`` and
+    the forms F = cw F_W + cr F_R + F_G; the plan folds the forms into the
+    element product, quadrature weights included.  The slopes feed the
+    first ``n_slope`` pairs through ``A`` (F_W, F_R, each a flat pairs x
+    slope rows table), the products g_a g_b and the membrane stress the next
+    ``n_quadratic`` through ``B`` (F_W, F_R, F_G), and the last pairs
+    take the constant blocks alone.  On the plate these are the 128 (w, y),
+    the 136 (w, w) and the 36 (y, y) pairs, so a Hessian is two matrix
+    products with the channel-major inputs plus cw K_W + cr K_R.
     """
 
-    def __init__(self, tables: ElementTables, free: np.ndarray, QW: np.ndarray, QR: np.ndarray):
+    def __init__(self, tables: ElementTables, free, QW, QR, forms: np.ndarray):
         dofs, rows = tables.dofs, tables.rows
         nf, k = int(free.sum()), dofs.shape[1]
         support = (rows != 0).astype(float)
@@ -765,18 +784,32 @@ class ElementAssembly:
         del row, col
 
         # a density d on rows (i, j) adds d (rows_i[a] rows_j[b] + rows_j[a] rows_i[b])
-        # to the element pair (a, b), the second term only when i != j
+        # to the element pair (a, b), the second term only when i != j; the
+        # density of inputs z is z F, so F folds into these products
         a, b = np.triu_indices(k)
         i, j = tables.pairs.T
         ri, rj = rows[:, i], rows[:, j]
         T = ri[..., a] * rj[..., b] + (i != j)[:, None] * rj[..., a] * ri[..., b]
-        T = (T * tables.weights[:, None, None]).reshape(-1, a.size)
-        KW, KR = self.constant_block(QW), self.constant_block(QR)
-        reached = np.any(T != 0.0, axis=0) | (KW != 0.0) | (KR != 0.0)
-        a, b = a[reached], b[reached]
-        self.T, self.KW, self.KR = T[:, reached], KW[reached], KR[reached]
-        ra, rb = rank[loc[:, a]], rank[loc[:, b]]
-        ok = (ra >= 0) & (rb >= 0) & local[a, b]
+        T *= tables.weights[:, None, None]
+        hit = np.any(T != 0.0, axis=0)  # (row pair, element pair)
+
+        def block(f):
+            """The inputs with forms f folded into the element pairs they
+            reach, (form, pair x (input row, point)) flat, and those pairs"""
+            to = np.any(np.any(f != 0.0, axis=(0, 1))[:, None] & hit, axis=0)
+            return np.einsum("fmj,qjp->fpmq", f, T[..., to]).reshape(len(f), -1), to
+
+        ng = len(tables.slope)
+        (self.A, to_a), (self.B, to_b) = block(forms[:2, :ng]), block(forms[:, ng:])
+        if np.any(to_a & to_b):
+            raise FemError("the slopes and the quadratic inputs reach a common element pair")
+        K = np.stack([self.constant_block(QW), self.constant_block(QR)])
+        only_k = np.any(K != 0.0, axis=0) & ~to_a & ~to_b
+        sel = np.concatenate([np.flatnonzero(to_a), np.flatnonzero(to_b), np.flatnonzero(only_k)])
+        self.n_slope, self.n_quadratic, self.K = int(to_a.sum()), int(to_b.sum()), K[:, sel]
+        self.element_pairs = np.stack([a[sel], b[sel]])
+        ra, rb = (rank[loc[:, p]].T for p in self.element_pairs)
+        ok = (ra >= 0) & (rb >= 0) & local[a[sel], b[sel]][:, None]
         self.slot = np.where(ok, np.minimum(ra, rb) * width + np.abs(ra - rb), self.size).ravel()
 
     def constant_block(self, Q: np.ndarray) -> np.ndarray:
@@ -785,13 +818,27 @@ class ElementAssembly:
         t = self.tables
         k = t.dofs.shape[1]
         a, b = np.triu_indices(k)
-        return (t.lin_t.T @ (Q @ t.rows[:, t.linear]).reshape(-1, k))[a, b]
+        rows = t.rows[:, t.linear]
+        # summed over (point, row) in this order: the slope solve of a fine
+        # ribbon (n = 512) feels the last bit of these blocks, and this
+        # order keeps its De Giorgi residual converging at second order
+        weighted = (rows * t.weights[:, None, None]).reshape(-1, k)
+        return (weighted.T @ (Q @ rows).reshape(-1, k))[a, b]
 
-    def assemble(self, rem: np.ndarray, cw: float, cr: float) -> BandMatrix:
+    def assemble(self, g: np.ndarray, z: np.ndarray, cw: float, cr: float) -> BandMatrix:
         """Free-DOF matrix of the density cw QW + cr QR on the linear rows
-        plus ``rem`` (E * nq, len(pairs)) on the row pairs, without weights."""
-        values = rem.reshape(-1, len(self.T)) @ self.T
-        values += cw * self.KW + cr * self.KR
+        plus z F on the row pairs, for the slopes g (ng, nq * E) and the
+        inputs z (the rest of F's input rows, nq * E) of FieldSystem._hessian:
+        one product each with the forms combined for (cw, cr)."""
+        e = len(self.tables.dofs)
+        na, nb = self.n_slope, self.n_slope + self.n_quadratic
+        values = np.empty((self.K.shape[1], e))
+        np.matmul(np.dot((cw, cr), self.A).reshape(na, -1), g.reshape(-1, e), out=values[:na])
+        B = np.dot((cw, cr, 1.0), self.B).reshape(nb - na, -1)
+        np.matmul(B, z.reshape(-1, e), out=values[na:nb])
+        k = np.dot((cw, cr), self.K)
+        values[:nb] += k[:nb, None]
+        values[nb:] = k[nb:, None]
         return BandMatrix(self, values)
 
     def factor(self, H: BandMatrix, shift: float = 0.0):
@@ -833,33 +880,30 @@ class ElementAssembly:
         return sp.csc_matrix((K.data, rows, np.cumsum(indptr)), shape=(n, n))
 
 
-def _row_index(rows):
-    """``rows`` as a slice when they are consecutive, so indexing by it is a view."""
-    r = np.asarray(rows)
-    return slice(r[0], r[-1] + 1) if np.array_equal(r, np.arange(r[0], r[-1] + 1)) else r
-
-
 class FieldSystem:
     """What the ribbon and plate systems share: packed named fields with
     Dirichlet constraints, dead loads, the metric, the weak residual, the
     local slope, and every energy, distance, gradient and Hessian, built on
     ElementTables.
 
-    A subclass declares its strain: the channels s (E, nq, ns) are the
+    A subclass declares its strain: the channels s (ns, nq * E) are the
     element rows ``LINEAR_ROWS``, plus 1/2 g_a g_b on membrane channel k
-    for the k-th pair (a, b) of ``MEMBRANE_SLOPES``, where the slopes g are
-    the rows ``SLOPE_ROWS``; every row is linear or a slope.  It provides
-    ``_element_rows()`` and QW, QR, in which the membrane channels meet no
-    other channel.  phi(u) = 1/2 int s . QW s minus the work of the loads
-    and D^2(a, b) = int (s_a - s_b) . QR (s_a - s_b).  Every kernel works on
-    the (E * nq, ns) channel matrix and its products with QW and QR, each a
-    single 2D product: a value is the weighted sum of a product times its
-    channels.  Coefficients (cw, cr) select cw * phi + cr * D^2(anchor, .)/2,
-    with stress sig = cw s QW + cr (s - s_anchor) QR, whose gradient is
+    for the k-th pair (a, b) of ``MEMBRANE_SLOPES``, where the slopes g
+    (ng, nq * E) are the rows ``SLOPE_ROWS``; every row is linear or a
+    slope.  It provides ``_element_rows()`` and QW, QR, in which the
+    membrane channels meet no other channel.  phi(u) = 1/2 int s . QW s
+    minus the work of the loads and D^2(a, b) = int (s_a - s_b) . QR (s_a -
+    s_b).  Every kernel works on whole channel rows (ElementTables): the
+    products QW s and QR (s - s_anchor) are one small matrix product each,
+    a value is the weighted sum of a product times its channels.
+    Coefficients (cw, cr) select cw * phi + cr * D^2(anchor, .)/2, with
+    stress sig = cw QW s + cr QR (s - s_anchor), whose gradient is
     ``split_scatter`` of sig on the linear rows and sum_k sig_k ds_k/dg on
     the slopes, and Hessian density C = cw QW + cr QR on the linear rows,
-    which the assembly plan adds, plus C ds/dg on the row pairs (slope,
-    membrane row) and ds/dg^T C ds/dg + sig . d^2s/dg^2 on (slope, slope).
+    plus C ds/dg on the row pairs (slope, membrane row) and ds/dg^T C ds/dg
+    + sig . d^2s/dg^2 on (slope, slope); the assembly plan folds the last
+    two into its products with the slopes and with their products g_a g_b
+    (a <= b) and the membrane stress.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -869,9 +913,9 @@ class FieldSystem:
         for k, (a, b) in enumerate(cls.MEMBRANE_SLOPES):
             D2[k, a, b] += 0.5
             D2[k, b, a] += 0.5
-        # index forms of the factors of g (x) g and sig_m (x) g
-        cls._gc, cls._gd = _row_index(np.repeat(range(ng), ng)), _row_index(np.tile(range(ng), ng))
-        cls._sk, cls._sd = _row_index(np.repeat(range(nm), ng)), _row_index(np.tile(range(ng), nm))
+        # sum_k sig_k ds_k/dg_a = sum of D2[k, a, b] sig_k g_b over the nonzeros
+        cls._slope_terms = [(k, a, b, D2[k, a, b]) for k, a, b in zip(*np.nonzero(D2))]
+        cls._products_of_slopes = list(zip(*np.triu_indices(ng)))
         slope, membrane = cls.SLOPE_ROWS, cls.LINEAR_ROWS[:nm]
         cls._row_pairs = [(i, j) for i in slope for j in membrane]
         cls._row_pairs += [(slope[i], slope[j]) for i, j in zip(*np.tril_indices(ng))]
@@ -884,7 +928,7 @@ class FieldSystem:
         }
         self.bc_mask, self.bc_values, self.free = mask, values, ~mask
         self._plan = None  # Hessian assembly plan and slope forms, built on first use
-        # the last point an incremental problem valued: (bytes, channels, s QW, phi)
+        # the last point an incremental problem valued: (bytes, channels, QW s, phi)
         self._valued = None
 
     def split(self, u: np.ndarray):
@@ -925,92 +969,91 @@ class FieldSystem:
     def rows(self, u: np.ndarray) -> np.ndarray:
         """Every reference row of ``_element_rows`` at every quadrature
         point, (n_points, r), in point order."""
-        return self.quad.by_point(self._tables.evaluate(u))
+        return self._by_point(self._tables.evaluate(u))
+
+    def _by_point(self, X: np.ndarray) -> np.ndarray:
+        """Channel-major values X (n, nq * E) in point order, (n_points, n)."""
+        return self.quad.by_point(X.reshape(len(X), len(self._tables.weights), -1).T)
 
     def _channels(self, u: np.ndarray):
-        """Element-local strain s (E, nq, ns) and slopes g (E, nq, ng)."""
+        """Strain s (ns, nq * E) and slopes g (ng, nq * E), channel-major."""
         s, g = self._tables.split_evaluate(u)
         for k, (a, b) in enumerate(self.MEMBRANE_SLOPES):
-            s[..., k] += 0.5 * g[..., a] * g[..., b]
+            s[k] += 0.5 * g[a] * g[b]
         return s, g
 
     def _integral(self, P: np.ndarray, s: np.ndarray) -> float:
-        """int P . s for a channel matrix s (E * nq, ns) and its product P with a
-        form: the weighted sum of the per-point dot products, without forming P * s."""
-        return float(self._tables.point_weights @ np.einsum("qc,qc->q", P, s))
-
-    def _strain(self, ch) -> np.ndarray:
-        """The (E * nq, ns) channel matrix of channels ch, a view."""
-        return ch[0].reshape(-1, len(self.QW))
+        """int P . s for channels s (ns, nq * E) and their product P with a form."""
+        return float(np.einsum("cp,cp->p", P, s) @ self._tables.point_weights)
 
     def _products(self, s: np.ndarray, s_a: np.ndarray):
-        """d = s - s_a for channel matrices s and s_a, and the products s QW and d QR."""
+        """d = s - s_a for channels s and s_a, and the products QW s and QR d."""
         d = s - s_a
-        return d, s @ self.QW, d @ self.QR
+        return d, self.QW @ s, self.QR @ d
 
     def _slope_forms(self) -> np.ndarray:
         """The slope forms (F_W, F_R, F_G): the density on the row pairs is
-        (g, g (x) g, sig_m) @ (cw F_W + cr F_R + F_G), F_Q holding Q ds/dg
-        and ds/dg^T Q ds/dg, F_G the geometric term sig . d^2s/dg^2."""
+        (g, g_a g_b for a <= b, sig_m) @ (cw F_W + cr F_R + F_G), F_Q holding
+        Q ds/dg and ds/dg^T Q ds/dg, F_G the geometric term sig . d^2s/dg^2."""
         D2 = self._D2
         nm, ng = D2.shape[:2]
         c, d = np.tril_indices(ng)
+        a, b = np.array(self._products_of_slopes).T
         n = ng * nm  # the (slope, membrane row) pairs come first
-        F = np.zeros((3, ng + ng * ng + nm, n + len(c)))
+        F = np.zeros((3, ng + len(a) + nm, n + len(c)))
         for Fq, Q in zip(F, (self.QW[:nm, :nm], self.QR[:nm, :nm])):
             Fq[:ng, :n] = np.einsum("kj,jcd->dck", Q, D2).reshape(ng, n)
             P = np.einsum("jca,jk,kdb->abcd", D2, Q, D2)  # P[a, b] is the form of g_a g_b
-            Fq[ng:-nm, n:] = P[..., c, d].reshape(-1, len(c))
+            Fq[ng:-nm, n:] = (P[a, b] + (a != b)[:, None, None] * P[b, a])[:, c, d]
         F[2, -nm:, n:] = D2[:, c, d]
         return F
 
-    def _hessian_density(self, g, sig: np.ndarray, cw: float, cr: float) -> np.ndarray:
-        """The density on the row pairs, (E * nq, len(pairs)) without weights."""
-        FW, FR, FG = self._forms
-        g = g.reshape(len(sig), -1)
-        z = np.concatenate([g, g[:, self._gc] * g[:, self._gd], sig[:, :len(self._D2)]], -1)
-        return z @ (cw * FW + cr * FR + FG)
-
-    def _gradient(self, g, sig: np.ndarray, cw: float) -> np.ndarray:
-        """DOF gradient of the stress sig (E * nq, ns) at slopes g, less cw
+    def _gradient(self, g: np.ndarray, sig: np.ndarray, cw: float) -> np.ndarray:
+        """DOF gradient of the stress sig (ns, nq * E) at slopes g, less cw
         times the loads; zero on the constrained DOFs."""
-        g = g.reshape(len(sig), -1)
-        # sum_k sig_k ds_k/dg on the slope rows: sig_k g_d -> sig_k D2[k, :, d]
-        slope = (sig[:, self._sk] * g[:, self._sd]) @ self._D2.reshape(-1, g.shape[1])
+        slope = np.zeros(g.shape)
+        for k, a, b, c in self._slope_terms:
+            slope[a] += c * sig[k] * g[b]
         out = self._tables.split_scatter(sig, slope)
         out -= cw * self._force
         out[self.bc_mask] = 0.0
         return out
 
-    def _hessian(self, g, sig: np.ndarray, cw: float, cr: float) -> BandMatrix:
+    def _hessian(self, g: np.ndarray, sig: np.ndarray, cw: float, cr: float) -> BandMatrix:
         """Free-DOF Hessian at slopes g with stress sig, in band storage."""
         if self._plan is None:
-            self._plan = ElementAssembly(self._tables, self.free, self.QW, self.QR)
-            self._forms = self._slope_forms()
-        return self._plan.assemble(self._hessian_density(g, sig, cw, cr), cw, cr)
+            self._plan = ElementAssembly(
+                self._tables, self.free, self.QW, self.QR, self._slope_forms()
+            )
+        pairs, nm = self._products_of_slopes, len(self._D2)
+        z = np.empty((len(pairs) + nm, g.shape[1]))
+        for i, (a, b) in enumerate(pairs):
+            np.multiply(g[a], g[b], out=z[i])
+        z[len(pairs):] = sig[:nm]
+        return self._plan.assemble(g, z, cw, cr)
 
     def _linearized(self, ch, du: np.ndarray) -> np.ndarray:
-        """ds/du . du at channels ch, (E, nq, ns): the linear rows of du plus
+        """ds/du . du at channels ch, (ns, nq * E): the linear rows of du plus
         1/2 (g_a dg_b + dg_a g_b) on the membrane channel of the pair (a, b),
         dg being the slopes of du."""
         h, dg = self._tables.split_evaluate(du)
         g = ch[1]
         for k, (a, b) in enumerate(self.MEMBRANE_SLOPES):
-            h[..., k] += 0.5 * (g[..., a] * dg[..., b] + dg[..., a] * g[..., b])
+            h[k] += 0.5 * (g[a] * dg[b] + dg[a] * g[b])
         return h
 
     def _slope_solve(self, ch):
         """(|dphi|, h*) at channels ch, h* (free DOFs) solving K h* = g with K
         the Hessian of D^2(u, .)/2 at u, where its stress vanishes, and g the
         energy gradient."""
-        s = self._strain(ch)
-        g = self._gradient(ch[1], s @ self.QW, 1.0)[self.free]
-        K = self._hessian(ch[1], np.zeros_like(s), 0.0, 1.0)
+        s, g = ch
+        grad = self._gradient(g, self.QW @ s, 1.0)[self.free]
+        K = self._hessian(g, np.zeros(s.shape), 0.0, 1.0)
         solve = self._plan.factor(K)
         if solve is None:
             raise FemError("metric tensor not positive definite at u")
-        hstar = solve(g)
-        return float(np.sqrt(max(float(np.dot(g, hstar)), 0.0))), hstar
+        hstar = solve(grad)
+        return float(np.sqrt(max(float(np.dot(grad, hstar)), 0.0))), hstar
 
     def local_slope(self, u: np.ndarray) -> float:
         """Local slope |dphi|(u) via the auxiliary quadratic problem.
@@ -1022,21 +1065,20 @@ class FieldSystem:
         return self._slope_solve(self._channels(u))[0]
 
     def energy(self, u: np.ndarray) -> float:
-        s = self._strain(self._channels(u))
-        return 0.5 * self._integral(s @ self.QW, s) - float(np.dot(self._force, u))
+        s = self._channels(u)[0]
+        return 0.5 * self._integral(self.QW @ s, s) - float(np.dot(self._force, u))
 
     def sqdist(self, ua: np.ndarray, ub: np.ndarray) -> float:
-        d = self._strain(self._channels(ua)) - self._strain(self._channels(ub))
-        return self._integral(d @ self.QR, d)
+        d = self._channels(ua)[0] - self._channels(ub)[0]
+        return self._integral(self.QR @ d, d)
 
     def grad_energy(self, u: np.ndarray) -> np.ndarray:
-        ch = self._channels(u)
-        return self._gradient(ch[1], self._strain(ch) @ self.QW, 1.0)
+        s, g = self._channels(u)
+        return self._gradient(g, self.QW @ s, 1.0)
 
     def grad_halfsqdist(self, anchor: np.ndarray, u: np.ndarray) -> np.ndarray:
-        ch = self._channels(u)
-        d = self._strain(ch) - self._strain(self._channels(anchor))
-        return self._gradient(ch[1], d @ self.QR, 0.0)
+        s, g = self._channels(u)
+        return self._gradient(g, self.QR @ (s - self._channels(anchor)[0]), 0.0)
 
     def incremental(self, anchor: np.ndarray, tau: float) -> "IncrementalProblem":
         """The functional v -> phi(v) + D^2(anchor, v) / (2 tau) of one time step."""
@@ -1044,15 +1086,14 @@ class FieldSystem:
 
     def hess_energy(self, u: np.ndarray) -> sp.csc_matrix:
         """Full-size Hessian of phi at u; constrained rows and columns are zero."""
-        ch = self._channels(u)
-        K = self._hessian(ch[1], self._strain(ch) @ self.QW, 1.0, 0.0)
+        s, g = self._channels(u)
+        K = self._hessian(g, self.QW @ s, 1.0, 0.0)
         return self._plan.embed(K.tocsc())
 
     def hess_halfsqdist(self, anchor: np.ndarray, u: np.ndarray) -> sp.csc_matrix:
         """Full-size Hessian of D^2(anchor, .)/2 at u; constrained rows and columns are zero."""
-        ch = self._channels(u)
-        d = self._strain(ch) - self._strain(self._channels(anchor))
-        K = self._hessian(ch[1], d @ self.QR, 0.0, 1.0)
+        s, g = self._channels(u)
+        K = self._hessian(g, self.QR @ (s - self._channels(anchor)[0]), 0.0, 1.0)
         return self._plan.embed(K.tocsc())
 
     def weak_residual_vector(self, prev: np.ndarray, nxt: np.ndarray, tau: float) -> np.ndarray:
@@ -1068,9 +1109,9 @@ class FieldSystem:
 class IncrementalProblem:
     """v -> Phi(v) = phi(v) + D^2(anchor, v) / (2 tau) of one time step.
 
-    Keeps the anchor's channel matrix and, for the last point, keyed on the
-    bytes of its values, what its one set of products P_W = s QW and
-    P_R = (s - s_anchor) QR (``FieldSystem._products``) yields: (phi, D^2),
+    Keeps the anchor's channels and, for the last point, keyed on the
+    bytes of its values, what its one set of products P_W = QW s and
+    P_R = QR (s - s_anchor) (``FieldSystem._products``) yields: (phi, D^2),
     their reductions, and the stress sig = P_W + P_R / tau, from which the
     gradient and the Hessian there are read with its slopes.  Each valued
     point also becomes the system's record ``_valued`` (its bytes, channels,
@@ -1087,17 +1128,17 @@ class IncrementalProblem:
         self._key = v.tobytes()
         if system._valued is None or system._valued[0] != self._key:
             ch = system._channels(v)
-            self._anchor = system._strain(ch)
+            self._anchor = ch[0]
             self._evaluate(v, self._key, ch)
         _, ch, PW, phi = system._valued
-        self._anchor = system._strain(ch)
+        self._anchor = ch[0]
         self._point = ch[1], PW, (phi, 0.0)
 
     def _evaluate(self, v: np.ndarray, key: bytes, ch):
         """(slopes, stress, (phi, D^2)) at v, whose bytes are key, with
         channels ch; recorded as the system's last valued point."""
         system = self.system
-        s = system._strain(ch)
+        s = ch[0]
         d, PW, PR = system._products(s, self._anchor)
         phi = 0.5 * system._integral(PW, s) - float(np.dot(system._force, v))
         parts = phi, system._integral(PR, d)

@@ -108,8 +108,8 @@ class SolverOptions:
     armijo: float = 1e-4
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if not 0.0 < self.armijo < 1.0:
             raise ValueError(f"armijo must lie in (0, 1), got {self.armijo}")
         if self.max_newton < 0:

@@ -127,8 +127,8 @@ class PlateSystem(FieldSystem):
         """Membrane strain mu (nq, 3), scaled deflection gradient g (nq, 2),
         scaled Hessian h (nq, 3), in quadrature-point order."""
         s, g = self._channels(u)
-        q = self.quad
-        return q.by_point(s[..., :3]), q.by_point(g), q.by_point(s[..., 3:])
+        s = self._by_point(s)
+        return s[:, :3], self._by_point(g), s[:, 3:]
 
     def _element_rows(self):
         """Element DOFs (y1 | y2 | w) and reference rows: the linear strain

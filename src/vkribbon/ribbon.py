@@ -187,29 +187,29 @@ class RibbonSystem(FieldSystem):
         full = np.zeros(self.n_dofs)
         full[self.free] = hstar
         m = self.material
-        lin = self._linearized(ch, full)
-        # the channel columns (a, m, kappa, t) of H(u*) and G
-        H, G = lin.reshape(-1, 4), ch[0].reshape(-1, 4)
+        # the channel rows (a, m, kappa, t) of H(u*) and G
+        H, G = self._linearized(ch, full), ch[0]
         # L = Cbar_R H(u*) - Cbar_W G, split into transverse-average and
         # moment parts of the first channel
         CR, CW = m.Rbar.M, m.Wbar.M
-        vH, vG = H[:, [0, 2, 3]], G[:, [0, 2, 3]]
-        L_avg = vH @ CR.T - vG @ CW.T
-        L_m = CR[0, 0] * H[:, 1] - CW[0, 0] * G[:, 1]
+        vH, vG = H[[0, 2, 3]], G[[0, 2, 3]]
+        L_avg = CR @ vH - CW @ vG
+        L_m = CR[0, 0] * H[1] - CW[0, 0] * G[1]
+        wq = self._tables.point_weights
 
         def integral(avg, moment):  # int |avg|^2 + int |moment|^2 / 12
-            a, b = (np.dot(self.wq, np.einsum("qi,qi->q", v, v)) for v in (avg, moment))
+            a, b = (np.einsum("cq,cq->q", v, v) @ wq for v in (avg, moment))
             return a + BEND_FACTOR * b
 
-        l_norm = float(np.sqrt(integral(L_avg, L_m[:, None])))
+        l_norm = float(np.sqrt(integral(L_avg, L_m[None])))
         # representation: | sqrt(CR)^{-1} (Cbar_W G + L) | = | sqrt(CR) H(u*) |
-        z = vG @ CW.T + L_avg
-        z_m = CW[0, 0] * G[:, 1] + L_m
+        z = CW @ vG + L_avg
+        z_m = CW[0, 0] * G[1] + L_m
         inv = m.Rbar.invsqrt
-        representation = float(np.sqrt(max(integral(z @ inv.T, inv[:, 0] * z_m[:, None]), 0.0)))
+        representation = float(np.sqrt(max(integral(inv @ z, inv[:, :1] * z_m), 0.0)))
         # the pairing of L with the test basis is the residual K u* - g: the
-        # gradient of the stress H(u*) QR - G QW with the loads of -phi
-        resid = self._gradient(ch[1], H @ self.QR - G @ self.QW, -1.0)[self.free]
+        # gradient of the stress QR H(u*) - QW G with the loads of -phi
+        resid = self._gradient(ch[1], self.QR @ H - self.QW @ G, -1.0)[self.free]
         orto = float(np.abs(resid).max(initial=0.0))
         if not abs(representation - value) <= 1e-10 * max(value, 1.0):
             raise AssertionError(f"slope representation mismatch: {representation} vs {value}")

@@ -42,29 +42,32 @@ def scaled_operators_2d(mesh: Mesh2D, eps: float, fields: dict, points) -> dict:
     return {"E": E, "grad_w": grad, "hess_w": hess}
 
 
+def point_channels(system, u: np.ndarray) -> np.ndarray:
+    """The strain channels at every quadrature point, (n_points, ns), in point order."""
+    return system._by_point(system._channels(u)[0])
+
+
 def _half_form(system, s: np.ndarray, Q: np.ndarray) -> float:
-    """1/2 int s . Q s for element-local channels s (E, nq, n), weighted by
-    the system's quadrature weights regrouped by element."""
-    w = system.quad.by_element(system.wq)
-    return 0.5 * float(np.einsum("eq,eqi,ij,eqj->", w, s, Q, s))
+    """1/2 int s . Q s for channels s (n_points, n) in point order."""
+    return 0.5 * float(np.einsum("q,qi,ij,qj->", system.wq, s, Q, s))
 
 
 def ribbon_energy_parts(system, u: np.ndarray) -> dict:
-    s, _ = system._channels(u)
+    s = point_channels(system, u)
     Q = system.QW
     return {
-        "stretching": _half_form(system, s[..., :1], Q[:1, :1]),
-        "bending_xi2": _half_form(system, s[..., 1:2], Q[1:2, 1:2]),
-        "bending_twist": _half_form(system, s[..., 2:], Q[2:, 2:]),
+        "stretching": _half_form(system, s[:, :1], Q[:1, :1]),
+        "bending_xi2": _half_form(system, s[:, 1:2], Q[1:2, 1:2]),
+        "bending_twist": _half_form(system, s[:, 2:], Q[2:, 2:]),
         "force": float(np.dot(system._force, u)),
     }
 
 
 def plate_energy_parts(system, u: np.ndarray) -> dict:
-    s, _ = system._channels(u)
+    s = point_channels(system, u)
     return {
-        "membrane": _half_form(system, s[..., :3], system.QW[:3, :3]),
-        "bending": _half_form(system, s[..., 3:], system.QW[3:, 3:]),
+        "membrane": _half_form(system, s[:, :3], system.QW[:3, :3]),
+        "bending": _half_form(system, s[:, 3:], system.QW[3:, 3:]),
         "force": float(np.dot(system._force, u)),
     }
 
@@ -72,13 +75,12 @@ def plate_energy_parts(system, u: np.ndarray) -> dict:
 def energy_via_extended_form(system, u: np.ndarray) -> float:
     """0.5 * int_S Qbar_W(G) using the assembled 3x3 matrix; no forces."""
     M = system.material.Wbar.M
-    ch = system._channels(u)[0].reshape(-1, 4)
-    return 0.5 * _extended_integral(system, M, ch)
+    return 0.5 * _extended_integral(system, M, point_channels(system, u))
 
 
 def sqdist_via_extended_form(system, ua: np.ndarray, ub: np.ndarray) -> float:
     M = system.material.Rbar.M
-    d = system._channels(ua)[0].reshape(-1, 4) - system._channels(ub)[0].reshape(-1, 4)
+    d = point_channels(system, ua) - point_channels(system, ub)
     return _extended_integral(system, M, d)
 
 
@@ -119,3 +121,74 @@ def mutual_shift(z_k: RibbonState, z: RibbonState, u: RibbonState) -> RibbonStat
         w=z_k.w + (u.w - z.w),
         theta=z_k.theta + (u.theta - z.theta),
     )
+
+
+def _unfused_parts(system):
+    """The element product T ((point, row pair), element pair a <= b), with
+    quadrature weights, and the constant blocks (K_W, K_R) of the linear
+    rows, as the assembly computed them before it folded the slope forms."""
+    t = system._tables
+    rows, k = t.rows, t.rows.shape[-1]
+    a, b = np.triu_indices(k)
+    i, j = np.array(system._row_pairs).T
+    ri, rj = rows[:, i], rows[:, j]
+    T = ri[..., a] * rj[..., b] + (i != j)[:, None] * rj[..., a] * ri[..., b]
+    T = (T * t.weights[:, None, None]).reshape(-1, a.size)
+    lin = rows[:, system.LINEAR_ROWS]
+    weighted = (lin * t.weights[:, None, None]).reshape(-1, k)
+    K = [(weighted.T @ (Q @ lin).reshape(-1, k))[a, b] for Q in (system.QW, system.QR)]
+    return T, K
+
+
+def _unfused_forms(system):
+    """(F_W, F_R, F_G) on the inputs (g, g_c g_d for every ordered (c, d), sig_m)."""
+    D2 = system._D2
+    nm, ng = D2.shape[:2]
+    c, d = np.tril_indices(ng)
+    n = ng * nm
+    F = np.zeros((3, ng + ng * ng + nm, n + len(c)))
+    for Fq, Q in zip(F, (system.QW[:nm, :nm], system.QR[:nm, :nm])):
+        Fq[:ng, :n] = np.einsum("kj,jcd->dck", Q, D2).reshape(ng, n)
+        P = np.einsum("jca,jk,kdb->abcd", D2, Q, D2)
+        Fq[ng:-nm, n:] = P[..., c, d].reshape(-1, len(c))
+    F[2, -nm:, n:] = D2[:, c, d]
+    return F
+
+
+def unfused_hessian(system, anchor: np.ndarray, u: np.ndarray, cw: float, cr: float):
+    """Dense free-DOF Hessian of cw phi + cr D^2(anchor, .)/2 at u by the
+    unfused assembly: the density z (cw F_W + cr F_R + F_G) on the row pairs
+    at every point, its element values rem @ T, plus cw K_W + cr K_R."""
+    t = system._tables
+    nm, ng = system._D2.shape[:2]
+
+    def channels(v):
+        R = system.quad.by_element(system.rows(v)).reshape(-1, len(t.rows[0]))
+        g = R[:, system.SLOPE_ROWS]
+        s = R[:, system.LINEAR_ROWS].copy()
+        for m, (a, b) in enumerate(system.MEMBRANE_SLOPES):
+            s[:, m] += 0.5 * g[:, a] * g[:, b]
+        return s, g
+
+    s, g = channels(u)
+    sig = cw * s @ system.QW + cr * (s - channels(anchor)[0]) @ system.QR
+    gg = (g[:, :, None] * g[:, None, :]).reshape(len(g), -1)
+    z = np.concatenate([g, gg, sig[:, :nm]], axis=1)
+    FW, FR, FG = _unfused_forms(system)
+    rem = z @ (cw * FW + cr * FR + FG)
+    T, (KW, KR) = _unfused_parts(system)
+    values = rem.reshape(len(t.dofs), -1) @ T + cw * KW + cr * KR
+    a, b = np.triu_indices(t.dofs.shape[1])
+    full = np.zeros((system.n_dofs, system.n_dofs))
+    np.add.at(full, (t.dofs[:, a], t.dofs[:, b]), values)
+    off = a != b
+    np.add.at(full, (t.dofs[:, b[off]], t.dofs[:, a[off]]), values[:, off])
+    return full[np.ix_(system.free, system.free)]
+
+
+def reached_pairs(system) -> set:
+    """The element pairs (a, b), a <= b, that the unfused assembly reaches."""
+    T, (KW, KR) = _unfused_parts(system)
+    a, b = np.triu_indices(system._tables.dofs.shape[1])
+    hit = np.any(T != 0.0, axis=0) | (KW != 0.0) | (KR != 0.0)
+    return set(zip(a[hit].tolist(), b[hit].tolist()))

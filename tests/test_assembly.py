@@ -26,7 +26,7 @@ from vkribbon.forms import MaterialPair
 from vkribbon.plate import PlateSystem, RecoveryInputs, build_recovery
 from vkribbon.ribbon import RibbonForces, RibbonSystem
 
-from oracles import sobolev_gap
+from oracles import reached_pairs, sobolev_gap, unfused_hessian
 
 BUMP = Polynomial.fromroots([-0.5, -0.5, 0.5, 0.5])
 BC = BoundaryData.from_coeffs(u1=(0.0, 0.3), u2=(0.05, 0.1), v=(0.1, 0.2))
@@ -121,13 +121,13 @@ class TestIncrementalHessian:
 
 @pytest.mark.parametrize("name", list(SYSTEMS))
 def test_split_evaluate_matches_evaluate(name):
-    """The channel kernel's linear and slope rows are the matching columns
+    """The channel kernel's linear and slope rows are the matching rows
     of the all-rows evaluation."""
     s = SYSTEMS[name]()
     u = random_state(s, np.random.default_rng(69))
     R = s._tables.evaluate(u)
     for part, rows in zip(s._tables.split_evaluate(u), (s.LINEAR_ROWS, s.SLOPE_ROWS)):
-        ref = R[..., rows]
+        ref = R[rows]
         assert part.shape == ref.shape
         assert np.abs(part - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -136,8 +136,8 @@ def full_density(s, anchor, u, cw, cr):
     """The weighted (E, nq, r, r) Hessian density of cw * phi + cr * D^2(anchor, .)/2
     from the channels' Jacobian J = ds/drows and their second derivatives D2:
     J^T C J + sum_k sig_k D2_k, with every row pair written out."""
-    R = s._tables.evaluate(u)
-    Ra = s._tables.evaluate(anchor)
+    R = s.quad.by_element(s.rows(u))
+    Ra = s.quad.by_element(s.rows(anchor))
     if isinstance(s, RibbonSystem):
         J = np.zeros(R.shape[:2] + (4, 5))
         J[..., [0, 1, 2, 3], [0, 1, 3, 4]] = 1.0
@@ -173,7 +173,8 @@ def reference_hessian(s, dens):
     """Free-DOF block of sum_e sum_q rows_q^T dens[e, q] rows_q: the element
     product of the CSC assembly, added densely."""
     t = s._tables
-    K = t.flat_t @ (dens @ t.rows).reshape(len(dens), -1, t.rows.shape[-1])
+    flat = t.rows.reshape(-1, t.rows.shape[-1]).T
+    K = flat @ (dens @ t.rows).reshape(len(dens), -1, t.rows.shape[-1])
     full = np.zeros((s.n_dofs, s.n_dofs))
     np.add.at(full, (t.dofs[:, :, None], t.dofs[:, None, :]), K)
     return full[np.ix_(s.free, s.free)]
@@ -195,6 +196,43 @@ def test_band_hessian_matches_full_density_reference(name):
     for H, a, cw, cr in cases:
         ref = reference_hessian(s, full_density(s, a, u, cw, cr))
         assert np.abs(H.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("name", list(SYSTEMS))
+def test_folded_assembly_matches_unfused(name):
+    """The plan's two products with the slope forms folded in give the
+    Hessian of the unfused assembly: for a time step, for the slope solve
+    (the metric tensor, where the stress vanishes) and for hess_energy."""
+    s = SYSTEMS[name]()
+    rng = np.random.default_rng(70)
+    anchor, u = random_state(s, rng), random_state(s, rng)
+    free = s.free
+    cases = [
+        (s.incremental(anchor, TAU).hessian(u).tocsc(), anchor, 1.0, 1.0 / TAU),
+        (s.hess_halfsqdist(u, u)[free][:, free], u, 0.0, 1.0),
+        (s.hess_energy(u)[free][:, free], anchor, 1.0, 0.0),
+    ]
+    for H, a, cw, cr in cases:
+        ref = unfused_hessian(s, a, u, cw, cr)
+        assert np.abs(H.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("name", list(SYSTEMS))
+def test_pair_groups_cover_every_reached_pair_once(name):
+    s = SYSTEMS[name]()
+    s.incremental(s.zero_state(), TAU).hessian(s.zero_state())
+    plan = s._plan
+    pairs = list(zip(*plan.element_pairs.tolist()))
+    ends = np.cumsum([0, plan.n_slope, plan.n_quadratic, len(pairs)])
+    groups = [set(pairs[i:j]) for i, j in zip(ends[:-1], ends[1:])]
+    assert sum(map(len, groups)) == len(pairs) == len(set(pairs))
+    assert set(pairs) == reached_pairs(s)
+    assert plan.slot.size == len(pairs) * len(s._tables.dofs)
+    if isinstance(s, PlateSystem):
+        # (w, y), (w, w) and (y, y) pairs: y DOFs are the first 8 of an element
+        assert [len(g) for g in groups] == [128, 136, 36]
+        assert all(a < 8 <= b for a, b in groups[0])
+        assert all(a >= 8 for a, _ in groups[1]) and all(b < 8 for _, b in groups[2])
 
 
 def sampled_rows(s):
@@ -473,6 +511,21 @@ def test_no_plan_without_a_hessian(monkeypatch):
     flow.run_trajectory(p, u, TAU, 2 * TAU)
     r.hess_energy(v), p.hess_halfsqdist(u, u), r.local_slope(v)
     assert len(orderings) == 2 and len(constants) == 4
+
+
+def test_an_evaluator_builds_one_set_of_tables(monkeypatch):
+    """A plate that only evaluates energies (gamma_check's use) builds its
+    element tables once and no plan, and the tables hold arrays only."""
+    calls = []
+    element_rows = PlateSystem._element_rows
+    monkeypatch.setattr(
+        PlateSystem, "_element_rows", lambda self: calls.append(1) or element_rows(self)
+    )
+    p = plate_system(0.1)
+    u = random_state(p, np.random.default_rng(71), 0.05)
+    p.energy(u), p.energy(2.0 * u)
+    assert calls == [1] and p._plan is None
+    assert all(isinstance(v, (np.ndarray, int)) for v in vars(p._tables).values())
 
 
 def rcm_bandwidth(H):

@@ -14,6 +14,7 @@ from vkribbon import cli
 from vkribbon.cli import main
 from vkribbon.config import ScenarioError, load_scenario
 from vkribbon.fem import Mesh1D, Mesh2D
+from vkribbon.flow import SolverOptions
 from vkribbon.forms import MaterialPair
 from vkribbon.io import (
     load_snapshot,
@@ -227,6 +228,28 @@ class TestCli:
         path = write(tmp_path, text)
         assert main(["simulate-1d", path, "--out", str(tmp_path / "o"), "--quiet"]) == 65
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("time.tau", "nan"),
+            ("time.tau", "inf"),
+            ("time.T", "inf"),
+            ("mesh.n1d", "nan"),
+            ("solver.max_newton", "inf"),
+            ("solver.tol", "nan"),
+        ],
+    )
+    def test_non_finite_number_exits_65_naming_key(self, tmp_path, capsys, key, value):
+        section, name = key.split(".")
+        path = write(tmp_path, MINIMAL + f"[{section}]\n{name} = {value}\n")
+        assert main(["simulate-1d", path, "--out", str(tmp_path / "o"), "--quiet"]) == 65
+        assert key in capsys.readouterr().err
+
+    def test_non_finite_tolerance_is_rejected(self):
+        for tol in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tol"):
+                SolverOptions(tol=tol)
 
     def test_out_of_range_solver_option_exits_65(self, tmp_path, capsys):
         # a line search that cannot succeed would otherwise exit 2, as a solver failure

@@ -13,7 +13,7 @@ from vkribbon.plate import PlateSystem, RecoveryInputs, build_recovery
 from vkribbon.ribbon import RibbonForces, RibbonSystem
 
 from oracles import energy_via_extended_form, mutual_shift, ribbon_energy_parts, sobolev_gap
-from oracles import sqdist_via_extended_form
+from oracles import point_channels, sqdist_via_extended_form
 
 BUMP = Polynomial.fromroots([-0.5, -0.5, 0.5, 0.5])  # (x^2 - 1/4)^2
 
@@ -123,11 +123,11 @@ class TestChannelExpansion:
         rng = np.random.default_rng(11)
         u = random_state(system, rng)
         v = random_state(system, rng)
-        a_u, m_u, k_u, t_u = system._channels(u)[0].reshape(-1, 4).T
-        a_v, m_v, k_v, t_v = system._channels(v)[0].reshape(-1, 4).T
+        a_u, m_u, k_u, t_u = point_channels(system, u).T
+        a_v, m_v, k_v, t_v = point_channels(system, v).T
         B1 = system.h3.sample_matrix(system.quad, 1)
         dwprime = B1 @ u[system.slices["w"]] - B1 @ v[system.slices["w"]]
-        a_h, m_h, k_h, t_h = system._linearized(system._channels(u), u - v).reshape(-1, 4).T
+        a_h, m_h, k_h, t_h = system._by_point(system._linearized(system._channels(u), u - v)).T
         scale = 1.0 + max(np.abs(m_u).max(), np.abs(k_u).max())
         assert np.abs((a_u - a_v) - (a_h - 0.5 * dwprime**2)).max() < 1e-12 * scale
         assert np.abs((m_u - m_v) - m_h).max() < 1e-12 * scale
@@ -146,9 +146,9 @@ class TestChannelExpansion:
         dg2 = p.bfs.sample_matrix(p.quad, 0, 1) @ dw / p.eps
         quadratic = np.zeros((p.quad.n_points, 6))
         quadratic[:, :3] = 0.5 * np.stack([dg1**2, dg1 * dg2, dg2**2], axis=-1)
-        Gu = p.quad.by_point(p._channels(u)[0])
-        Gv = p.quad.by_point(p._channels(v)[0])
-        H = p.quad.by_point(p._linearized(p._channels(u), u - v))
+        Gu = point_channels(p, u)
+        Gv = point_channels(p, v)
+        H = p._by_point(p._linearized(p._channels(u), u - v))
         scale = 1.0 + np.abs(Gu).max()
         assert np.abs((Gu - Gv) - (H - quadratic)).max() < 1e-12 * scale
 
@@ -325,8 +325,8 @@ class TestWeakResidual:
         res = s.weak_residual_vector(prev, nxt, tau)
 
         m = s.material
-        a_n, _, kappa_n, t_n = s._channels(nxt)[0].reshape(-1, 4).T
-        a_p, _, kappa_p, t_p = s._channels(prev)[0].reshape(-1, 4).T
+        a_n, _, kappa_n, t_n = point_channels(s, nxt).T
+        a_p, _, kappa_p, t_p = point_channels(s, prev).T
         B0, B1, B2 = (s.h3.sample_matrix(s.quad, d) for d in range(3))
         wprime = B1 @ nxt[s.slices["w"]]
         # membrane stress with difference quotient + bending pair
