@@ -30,7 +30,7 @@ for tau in (0.08, 0.04, 0.02, 0.01):
     )
 
 print("\nledger of the finest run (first steps):")
-traj = run_trajectory(system, u0, 0.01, 0.1, slope_fn=system.local_slope)
+traj = run_trajectory(system, u0, 0.01, 0.1)
 print("n   t      energy      step_dist   slope")
-for n, t, e, d, s, *_ in traj.ledger_rows():
+for n, t, e, d, s, *_ in traj.ledger_rows(system):
     print(f"{n:<3} {t:<6.2f} {e:<11.6f} {d:<11.6f} {s:.6f}")

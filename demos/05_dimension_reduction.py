@@ -11,7 +11,8 @@ Runs in about a minute; shrink the mesh or horizon to go faster.
 
 from numpy.polynomial import Polynomial
 
-from vkribbon import BoundaryData, Mesh1D, Mesh2D, MaterialPair, RibbonForces
+from vkribbon import MaterialPair
+from vkribbon.config import Scenario
 from vkribbon.flow import SolverOptions
 from vkribbon.studies import epsilon_study
 
@@ -19,23 +20,24 @@ bump = Polynomial.fromroots([-0.5, -0.5, 0.5, 0.5])
 material = MaterialPair.isotropic(1.0, 0.0, 1.0, 0.0)
 
 report = epsilon_study(
-    material,
-    BoundaryData.zero(),
-    RibbonForces.zero(),
-    eps_list=[0.2, 0.1, 0.05],
-    tau=0.02,
-    T=0.5,
-    mesh1=Mesh1D(l=1.0, n=32),
-    mesh2=Mesh2D(l=1.0, nx=32, ny=8),
-    initial=(
-        tuple((0.5 * Polynomial.fromroots([-0.5, 0.5])).coef),
-        tuple((0.3 * bump).coef),
-        tuple((2.0 * bump).coef),
-        tuple((4.0 * bump).coef),
-    ),
-    # the small-eps Hessian blocks scale like 1/eps^4; 1e-8 is what double
-    # precision can actually deliver there (see README)
-    options=SolverOptions(tol=1e-8),
+    Scenario(
+        material,
+        epsilon_list=[0.2, 0.1, 0.05],
+        tau=0.02,
+        T=0.5,
+        n1d=32,
+        nx=32,
+        ny=8,
+        initial=(
+            tuple((0.5 * Polynomial.fromroots([-0.5, 0.5])).coef),
+            tuple((0.3 * bump).coef),
+            tuple((2.0 * bump).coef),
+            tuple((4.0 * bump).coef),
+        ),
+        # the small-eps Hessian blocks scale like 1/eps^4; 1e-8 is what
+        # double precision can actually deliver there (see README)
+        solver=SolverOptions(tol=1e-8),
+    )
 )
 
 print("initial recovery-energy gaps:", {k: f"{v:.2e}" for k, v in report.summary["initial_energy_gap"].items()})

@@ -9,22 +9,24 @@ doubly refined corner.
 
 from numpy.polynomial import Polynomial
 
-from vkribbon import BoundaryData, Mesh1D, Mesh2D, MaterialPair, RibbonForces
+from vkribbon import MaterialPair
+from vkribbon.config import Scenario
 from vkribbon.studies import commutativity_report
 
 bump = Polynomial.fromroots([-0.5, -0.5, 0.5, 0.5])
 material = MaterialPair.isotropic(1.0, 0.0, 1.0, 0.0)
 
 report = commutativity_report(
-    material,
-    BoundaryData.zero(),
-    RibbonForces.zero(),
-    eps_list=[0.2, 0.1],
-    tau_list=[0.1, 0.05],
-    T=0.4,
-    mesh1=Mesh1D(l=1.0, n=24),
-    mesh2=Mesh2D(l=1.0, nx=24, ny=4),
-    initial=((0.0,), (0.0,), tuple((1.5 * bump).coef), tuple((3.0 * bump).coef)),
+    Scenario(
+        material,
+        epsilon_list=[0.2, 0.1],
+        tau_list=[0.1, 0.05],
+        T=0.4,
+        n1d=24,
+        nx=24,
+        ny=4,
+        initial=((0.0,), (0.0,), tuple((1.5 * bump).coef), tuple((3.0 * bump).coef)),
+    )
 )
 
 t_final = 0.4

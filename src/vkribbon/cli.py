@@ -51,8 +51,8 @@ def _energies(traj) -> str:
 def _simulate_1d(sc, out):
     system = _ribbon(sc)
     u0 = system.interpolate(*sc.initial)
-    traj = run_trajectory(system, u0, sc.tau, sc.T, sc.solver, slope_fn=system.local_slope)
-    write_ledger(os.path.join(out, "ledger.csv"), traj)
+    traj = run_trajectory(system, u0, sc.tau, sc.T, sc.solver)
+    write_ledger(os.path.join(out, "ledger.csv"), traj, system)
     save_ribbon_state(os.path.join(out, "state_final.snap"), system.state(traj.states[-1]))
     return f"{traj.n_steps} steps, {_energies(traj)}"
 
@@ -64,7 +64,7 @@ def _simulate_2d(sc, out):
     u0_1d = ribbon.interpolate(*sc.initial)
     u0 = build_recovery(plate, RecoveryInputs(ribbon.state(u0_1d), sc.cutoff_width))
     traj = run_trajectory(plate, u0, sc.tau, sc.T, sc.solver)
-    write_ledger(os.path.join(out, "ledger.csv"), traj)
+    write_ledger(os.path.join(out, "ledger.csv"), traj, plate)
     save_plate_state(os.path.join(out, "state_final.snap"), plate.state(traj.states[-1]))
     return f"eps={eps}, {traj.n_steps} steps, {_energies(traj)}"
 
@@ -77,21 +77,16 @@ def _tau_study(sc, out):
 
 
 def _reduce_study(sc, out):
-    rep = epsilon_study(
-        sc.material, sc.boundary, sc.forces, sc.epsilon_list, sc.tau, sc.T,
-        sc.mesh1(), sc.mesh2(), sc.initial, sc.solver, sc.cutoff_width,
-    )
+    rep = epsilon_study(sc)
     rep.write_csv(os.path.join(out, "reduce_study.csv"))
-    return "done"
+    gaps = ", ".join(f"{e:g}: {g:.3e}" for e, g in rep.summary["initial_energy_gap"].items())
+    return f"initial energy gap per eps {{{gaps}}}"
 
 
 def _commute_study(sc, out):
-    rep = commutativity_report(
-        sc.material, sc.boundary, sc.forces, sc.epsilon_list, sc.tau_list, sc.T,
-        sc.mesh1(), sc.mesh2(), sc.initial, sc.solver, sc.cutoff_width,
-    )
+    rep = commutativity_report(sc)
     rep.write_csv(os.path.join(out, "commute_study.csv"))
-    return "done"
+    return f"largest path discrepancy {rep.column('path_discrepancy').max():.3e}"
 
 
 def _gamma_check(sc, out):

@@ -74,8 +74,9 @@ class GradientSystem(Protocol):
     later steps, so it must stay valid when H and the problem are gone.
     D^2 must be symmetric, nonnegative and zero exactly on the diagonal; the
     gradients must be consistent with finite differences of the values.
-    ``dissipation_ledger`` also needs ``local_slope(u)`` -> |dphi|(u),
-    which the field systems inherit from FieldSystem.
+    ``dissipation_ledger`` and ``Trajectory.ledger_rows`` also need
+    ``local_slope(u)`` -> |dphi|(u), which the field systems inherit from
+    FieldSystem.
     """
 
     n_dofs: int
@@ -123,7 +124,6 @@ class StepReport:
     newton_iters: int  # Newton steps taken, the final full step included
     grad_norm: float
     used_fallback: int = 0  # fresh Hessians that needed a diagonal shift
-    slope: float = float("nan")
     scale: float = float("nan")  # |Phi(u_n)| + lambda_1^2 / 2, the step's unit of Phi
     factorizations: int = 0  # fresh Hessians assembled and factored
 
@@ -163,12 +163,13 @@ class Trajectory:
     def energies(self) -> np.ndarray:
         return np.array([r.energy for r in self.reports])
 
-    def ledger_rows(self):
-        """One row of LEDGER_COLUMNS per state."""
+    def ledger_rows(self, system: GradientSystem):
+        """One row of LEDGER_COLUMNS per state; the slope is
+        ``system.local_slope`` of the state."""
         rows = []
-        for n, r in enumerate(self.reports):
+        for n, (u, r) in enumerate(zip(self.states, self.reports)):
             rows.append(
-                (n, n * self.tau, r.energy, r.dist, r.slope, r.grad_norm)
+                (n, n * self.tau, r.energy, r.dist, float(system.local_slope(u)), r.grad_norm)
                 + (r.newton_iters, r.factorizations)
             )
         return rows
@@ -315,13 +316,11 @@ def run_trajectory(
     tau: float,
     T: float,
     options: SolverOptions | None = None,
-    slope_fn: Callable[[np.ndarray], float] | None = None,
 ) -> Trajectory:
     """Advance the minimizing-movement scheme over N = ceil(T / tau) steps.
 
     Each step's report carries the norm of the incremental gradient on the
-    free DOFs at the accepted point; a slope evaluator fills the ledger
-    column used by the De Giorgi bookkeeping.
+    free DOFs at the accepted point.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
@@ -336,7 +335,6 @@ def run_trajectory(
         dist=0.0,
         newton_iters=0,
         grad_norm=float("nan"),
-        slope=float(slope_fn(u)) if slope_fn else float("nan"),
     )
     reports = [first]
     prev_energy = first.energy
@@ -345,8 +343,6 @@ def run_trajectory(
         u_next, rep = incremental_step(system, tau, u, opts, step_index=n, chord=chord)
         if rep.energy > prev_energy + opts.tol * rep.scale:
             raise StepFailure(n, "energy sequence not monotone")
-        if slope_fn is not None:
-            rep.slope = float(slope_fn(u_next))
         states.append(u_next.copy())
         reports.append(rep)
         prev_energy = rep.energy
@@ -373,17 +369,15 @@ class DissipationLedger:
 
 
 def dissipation_ledger(system: GradientSystem, traj: Trajectory) -> DissipationLedger:
-    """The ledger of traj; a step whose report carries no slope gets
-    ``system.local_slope`` of its state."""
+    """The ledger of traj; the slope of a step is ``system.local_slope`` of
+    its state."""
     tau = traj.tau
     vel = 0.0
     slo = 0.0
     rows = []
     for n in range(1, traj.n_steps + 1):
         rep = traj.reports[n]
-        s = rep.slope
-        if not np.isfinite(s):
-            s = float(system.local_slope(traj.states[n]))
+        s = float(system.local_slope(traj.states[n]))
         vel += 0.5 * tau * (rep.dist / tau) ** 2
         slo += 0.5 * tau * s**2
         rows.append((n, n * tau, rep.dist, s, rep.energy))

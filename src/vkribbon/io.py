@@ -59,9 +59,9 @@ def write_csv(path, columns, rows, summary: dict | None = None) -> None:
     atomic_write(path, text)
 
 
-def write_ledger(path, trajectory) -> None:
-    """Per-step ledger with the documented schema."""
-    write_csv(path, LEDGER_COLUMNS, trajectory.ledger_rows())
+def write_ledger(path, trajectory, system) -> None:
+    """Per-step ledger of a trajectory of ``system`` with the documented schema."""
+    write_csv(path, LEDGER_COLUMNS, trajectory.ledger_rows(system))
 
 
 # ---------------------------------------------------------------------------

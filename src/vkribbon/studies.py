@@ -3,7 +3,10 @@
 Each study runs trajectories or static sweeps, tabulates raw data first,
 and only then fits summary quantities (orders from the last three points
 of a sweep).  Nothing here asserts a theorem; the studies produce the
-quantitative shadows that the test suite checks.
+quantitative shadows that the test suite checks.  The two dynamic width
+studies, ``epsilon_study`` and ``commutativity_report``, read a
+``config.Scenario`` and run one shared sweep of ribbon and plate
+trajectories.
 """
 
 from __future__ import annotations
@@ -12,11 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import Scenario
 from .fem import BoundaryData, FieldSystem, Mesh1D, Mesh2D
 from .flow import SolverOptions, Trajectory, dissipation_ledger, run_trajectory
 from .forms import MaterialPair
 from .plate import PlateSystem, RecoveryInputs, build_recovery
-from .ribbon import RibbonForces, RibbonSystem
+from .ribbon import RibbonSystem
 
 
 class HypothesisError(RuntimeError):
@@ -25,6 +29,8 @@ class HypothesisError(RuntimeError):
 
 
 SAMPLE_FRACTIONS = (0.1, 0.25, 0.5, 1.0)
+# interpolation fractions s of geodesic_convexity_check
+S_GRID = tuple(np.linspace(0.1, 0.9, 9))
 
 
 @dataclass
@@ -130,30 +136,43 @@ def _projection_diag(plate: PlateSystem, u: np.ndarray) -> dict:
     return {"gamma_l2": l2(gamma), "E12_l2": l2(E12), "E22_l2": l2(E22)}
 
 
-def epsilon_study(
-    material: MaterialPair,
-    bc: BoundaryData,
-    forces: RibbonForces,
-    eps_list,
-    tau: float,
-    T: float,
-    mesh1: Mesh1D,
-    mesh2: Mesh2D,
-    initial,
-    options: SolverOptions | None = None,
-    cutoff_width: float = 0.1,
-) -> StudyReport:
+def _sweep(sc: Scenario, study: str, taus):
+    """The set-up both width sweeps share: the ribbon, its initial state u0
+    and its trajectory per time step, and, lazily, one (eps, plate, w0,
+    trajectory per time step) per width of the scenario, w0 being the
+    plate's recovery of u0.  Refuses a material outside H1 and H2 and
+    empty width or step lists."""
+    require_hypothesis(sc.material, study)
+    if not sc.epsilon_list or not taus:
+        raise ValueError(f"{study} needs nonempty eps and tau lists")
+    ribbon = RibbonSystem(sc.mesh1(), sc.material, sc.boundary, sc.forces)
+    u0 = ribbon.interpolate(*sc.initial)
+    traj1 = {tau: run_trajectory(ribbon, u0, tau, sc.T, sc.solver) for tau in taus}
+    inputs = RecoveryInputs(ribbon.state(u0), sc.cutoff_width)
+    mesh2 = sc.mesh2()
+
+    def widths():
+        for eps in sc.epsilon_list:
+            plate = PlateSystem(mesh2, eps, sc.material, sc.boundary, sc.forces)
+            w0 = build_recovery(plate, inputs)
+            yield eps, plate, w0, {
+                tau: run_trajectory(plate, w0, tau, sc.T, sc.solver) for tau in taus
+            }
+
+    return ribbon, u0, traj1, widths()
+
+
+def epsilon_study(sc: Scenario) -> StudyReport:
     """Distance between the projected 2D discrete flow and the 1D discrete
-    flow at the sample times, for each width in the sweep.
+    flow at the sample times, for each width of ``sc.epsilon_list``, at the
+    time step ``sc.tau``.
 
     2D initial data is the recovery state of the 1D initial datum, so the
-    initial energies converge along the sweep by construction.
+    initial energies converge along the sweep by construction; the summary
+    holds their gaps per width.
     """
-    require_hypothesis(material, "epsilon_study")
-    ribbon = RibbonSystem(mesh1, material, bc, forces)
-    u0 = ribbon.interpolate(*initial)
-    traj1 = run_trajectory(ribbon, u0, tau, T, options)
-
+    ribbon, u0, ribbon_runs, widths = _sweep(sc, "epsilon_study", [sc.tau])
+    traj1 = ribbon_runs[sc.tau]
     report = StudyReport(
         kind="epsilon_study",
         columns=[
@@ -168,16 +187,12 @@ def epsilon_study(
         ],
     )
     # t = 0 row measures the static recovery projection error
-    times = [0.0] + [f * T for f in SAMPLE_FRACTIONS]
+    times = [0.0] + [f * sc.T for f in SAMPLE_FRACTIONS]
     gap0 = {}
-    inputs = RecoveryInputs(ribbon.state(u0), cutoff_width)
-    for eps in eps_list:
-        plate = PlateSystem(mesh2, eps, material, bc, forces)
-        w0 = build_recovery(plate, inputs)
+    for eps, plate, w0, traj2 in widths:
         gap0[eps] = abs(plate.energy(w0) - ribbon.energy(u0))
-        traj2 = run_trajectory(plate, w0, tau, T, options)
         for t in times:
-            s2 = traj2.at_time(t)
+            s2 = traj2[sc.tau].at_time(t)
             s1 = traj1.at_time(t)
             diag = _projection_diag(plate, s2)
             report.add(
@@ -198,47 +213,18 @@ def epsilon_study(
 # commutativity of the two limits
 
 
-def commutativity_report(
-    material: MaterialPair,
-    bc: BoundaryData,
-    forces: RibbonForces,
-    eps_list,
-    tau_list,
-    T: float,
-    mesh1: Mesh1D,
-    mesh2: Mesh2D,
-    initial,
-    options: SolverOptions | None = None,
-    cutoff_width: float = 0.1,
-) -> StudyReport:
-    """Both refinement paths of the (eps, tau) diagram.
+def commutativity_report(sc: Scenario) -> StudyReport:
+    """Both refinement paths of the (eps, tau) diagram over the widths of
+    ``sc.epsilon_list`` and the time steps of ``sc.tau_list``.
 
     For every grid pair the table carries the horizontal leg (2D vs 1D at
     equal tau), the two vertical legs (tau-refinement at fixed eps / in
     1D), the diagonal gap against the doubly refined reference, and the
     discrepancy between the two path sums.
     """
-    require_hypothesis(material, "commutativity_report")
-    eps_list = list(eps_list)
-    tau_list = list(tau_list)
-    if not eps_list or not tau_list:
-        raise ValueError("commutativity study needs nonempty eps and tau lists")
+    tau_list = sc.tau_list
+    ribbon, _, traj1, widths = _sweep(sc, "commutativity_report", tau_list)
     tau_min = min(tau_list)
-
-    ribbon = RibbonSystem(mesh1, material, bc, forces)
-    u0 = ribbon.interpolate(*initial)
-    traj1 = {tau: run_trajectory(ribbon, u0, tau, T, options) for tau in tau_list}
-
-    plates = {}
-    traj2 = {}
-    inputs = RecoveryInputs(ribbon.state(u0), cutoff_width)
-    for eps in eps_list:
-        plate = PlateSystem(mesh2, eps, material, bc, forces)
-        w0 = build_recovery(plate, inputs)
-        plates[eps] = plate
-        for tau in tau_list:
-            traj2[(eps, tau)] = run_trajectory(plate, w0, tau, T, options)
-
     report = StudyReport(
         kind="commutativity",
         columns=[
@@ -252,20 +238,19 @@ def commutativity_report(
             "path_discrepancy",
         ],
     )
-    times = [f * T for f in SAMPLE_FRACTIONS]
-    for eps in eps_list:
-        plate = plates[eps]
+    times = [f * sc.T for f in SAMPLE_FRACTIONS]
+    for eps, plate, _, traj2 in widths:
         # the horizontal leg at the finest step depends on (eps, t) only
-        fine = traj2[(eps, tau_min)]
+        fine = traj2[tau_min]
         horiz_fine = {
             t: plate.d0_projected(fine.at_time(t), ribbon, traj1[tau_min].at_time(t)) for t in times
         }
         for tau in tau_list:
             for t in times:
-                s2 = traj2[(eps, tau)].at_time(t)
+                s2 = traj2[tau].at_time(t)
                 horiz = plate.d0_projected(s2, ribbon, traj1[tau].at_time(t))
                 leg1d = ribbon.metric(traj1[tau].at_time(t), traj1[tau_min].at_time(t))
-                leg2d = plate.metric(s2, traj2[(eps, tau_min)].at_time(t))
+                leg2d = plate.metric(s2, fine.at_time(t))
                 diag = plate.d0_projected(s2, ribbon, traj1[tau_min].at_time(t))
                 report.add(
                     eps,
@@ -328,8 +313,6 @@ def geodesic_convexity_check(
     u1_pool,
     n_samples: int,
     seed: int = 0,
-    s_grid=tuple(np.linspace(0.1, 0.9, 9)),
-    c_max: float = 1e8,
 ) -> StudyReport:
     """Smallest constant C for which the interpolation inequalities
 
@@ -337,9 +320,12 @@ def geodesic_convexity_check(
         phi(u_s) <= (1-s) phi(u0) + s phi(u1)
                     + s (C sqrt(M) D^2 + C D^3 + C D^4)
 
-    hold over all sampled pairs, with M the largest energy of the u0 pool
-    and u_s the DOF-linear interpolation.  C is located by bisection on
-    the monotone feasibility predicate.
+    hold over all sampled pairs and the interpolation fractions S_GRID,
+    with M the largest energy of the u0 pool and u_s the DOF-linear
+    interpolation.  Both sides of each inequality, with its round-off
+    slack, are affine in C with a nonnegative slope, so each holds from
+    one threshold on and C is the largest threshold of the samples.
+    Raises RuntimeError when a sample fails at every C (zero slope).
     """
     rng = np.random.default_rng(seed)
     M = max(system.energy(u) for u in u0_pool)
@@ -353,7 +339,7 @@ def geodesic_convexity_check(
     for a, b in pairs:
         D = system.metric(a, b)
         pa, pb = system.energy(a), system.energy(b)
-        for s in s_grid:
+        for s in S_GRID:
             us = (1.0 - s) * a + s * b
             samples.append(
                 (D, system.metric(a, us), pa, pb, system.energy(us), s)
@@ -362,35 +348,28 @@ def geodesic_convexity_check(
     D, Ds, pa, pb, ps, s = samples.T
     sqrtM = np.sqrt(max(M, 0.0))
 
-    def feasible(C):
-        rhs1 = s**2 * (D**2 + C * D**3 + C * D**4)
-        ok1 = Ds**2 <= rhs1 * (1.0 + 1e-12) + 1e-14
-        rhs2 = (1.0 - s) * pa + s * pb + s * (C * sqrtM * D**2 + C * D**3 + C * D**4)
-        ok2 = ps <= rhs2 + 1e-12 * (1.0 + np.abs(rhs2))
-        return bool(np.all(ok1) and np.all(ok2))
-
-    if not feasible(c_max):
-        raise RuntimeError("no finite constant found up to c_max")
-    # lo is always a tested infeasible constant and hi a tested feasible one
-    lo, hi = 0.0, min(1.0, c_max)
-    if feasible(0.0):
-        hi = 0.0
-    else:
-        while not feasible(hi):
-            lo, hi = hi, min(2.0 * hi, c_max)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if feasible(mid):
-                hi = mid
-            else:
-                lo = mid
+    # each sample holds iff need <= C gain, gain >= 0; first inequality:
+    # Ds^2 <= (1 + 1e-12) s^2 (D^2 + C (D^3 + D^4)) + 1e-14
+    need1 = Ds**2 - 1e-14 - (1.0 + 1e-12) * s**2 * D**2
+    gain1 = (1.0 + 1e-12) * s**2 * (D**3 + D**4)
+    # second: ps <= r + 1e-12 (1 + |r|), increasing in r = base + C gain2,
+    # holds iff r >= r_min
+    base = (1.0 - s) * pa + s * pb
+    r_min = (ps - 1e-12) / np.where(ps >= 1e-12, 1.0 + 1e-12, 1.0 - 1e-12)
+    gain2 = s * (sqrtM * D**2 + D**3 + D**4)
+    need, gain = np.concatenate([need1, r_min - base]), np.concatenate([gain1, gain2])
+    thresholds = np.where(need > 0.0, np.inf, 0.0)
+    np.divide(need, gain, out=thresholds, where=gain > 0.0)
+    C = float(max(thresholds.max(), 0.0))
+    if not np.isfinite(C):
+        raise RuntimeError("a sample fails the interpolation inequalities at every constant")
 
     report = StudyReport(
         kind="geodesic_convexity",
         columns=["D", "D_to_interp", "phi_u0", "phi_u1", "phi_interp", "s"],
         rows=[tuple(r) for r in samples],
     )
-    report.summary = {"C": hi, "M": M, "n_samples": n_samples}
+    report.summary = {"C": C, "M": M, "n_samples": n_samples}
     return report
 
 
@@ -440,7 +419,9 @@ def decoupling_checks(
     factor_gap = 0.0
     for n in range(1, traj.n_steps + 1):
         gap = np.linalg.norm(traj.states[n][sl] - rho * traj.states[n - 1][sl])
-        factor_gap = max(factor_gap, gap / max(np.linalg.norm(traj.states[n - 1][sl]), 1e-30))
+        factor_gap = max(
+            factor_gap, float(gap / max(np.linalg.norm(traj.states[n - 1][sl]), 1e-30))
+        )
 
     # same xi2 data, different companion fields
     mixed = system.interpolate(

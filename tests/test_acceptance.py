@@ -320,8 +320,8 @@ def test_criterion_10_twist_decoupling():
            f"by companion data to {xi2_gap:.2e}")
 
 
-def smallest_feasible_constant(rep, c_max=1e8):
-    """Bisection over [0, c_max] of the two interpolation inequalities on
+def smallest_feasible_constant(rep, upper=1e8):
+    """Bisection over [0, upper] of the two interpolation inequalities on
     the report's rows, without the doubling bracket of the study."""
     D, Ds, pa, pb, ps, s = np.array(rep.rows).T
     sqrtM = np.sqrt(rep.summary["M"])
@@ -333,7 +333,7 @@ def smallest_feasible_constant(rep, c_max=1e8):
             ps <= rhs2 + 1e-12 * (1.0 + np.abs(rhs2))
         )
 
-    lo, hi = 0.0, c_max
+    lo, hi = 0.0, upper
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if feasible(mid) else (mid, hi)

@@ -507,8 +507,8 @@ def test_no_plan_without_a_hessian(monkeypatch):
     # one band layout and one pair of constant element blocks (QW, QR) per
     # system, whatever is assembled or solved afterwards
     assert len(orderings) == 2 and len(constants) == 4
-    flow.run_trajectory(r, v, TAU, 2 * TAU, slope_fn=r.local_slope)
-    flow.run_trajectory(p, u, TAU, 2 * TAU)
+    flow.run_trajectory(r, v, TAU, 2 * TAU).ledger_rows(r)
+    flow.run_trajectory(p, u, TAU, 2 * TAU).ledger_rows(p)
     r.hess_energy(v), p.hess_halfsqdist(u, u), r.local_slope(v)
     assert len(orderings) == 2 and len(constants) == 4
 

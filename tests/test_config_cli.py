@@ -52,6 +52,35 @@ T = 0.05
 xi2 = 0.0625 0 -0.5 0 1
 """
 
+# a loaded strip small enough to run every subcommand in a few seconds
+PINNED = """
+[material]
+model = isotropic
+
+[geometry]
+epsilon_list = 0.4 0.2
+
+[mesh]
+n1d = 16
+nx = 8
+ny = 4
+
+[time]
+tau = 0.02
+tau_list = 0.04 0.02
+T = 0.08
+
+[solver]
+tol = 1e-8
+
+[forces]
+f = 1 0.5
+
+[initial]
+xi2 = 0.0625 0 -0.5 0 1
+w = 0.0625 0 -0.5 0 1
+"""
+
 
 def write(tmp_path, text, name="scenario.cfg"):
     p = tmp_path / name
@@ -328,6 +357,18 @@ class TestCli:
         assert (tmp_path / "r" / "reduce_study.csv").exists()
         assert main(["commute-study", path, "--out", str(tmp_path / "c"), "--quiet"]) == 0
         assert (tmp_path / "c" / "commute_study.csv").exists()
+
+    def test_every_summary_line_reports_numbers(self, tmp_path, capsys):
+        path = write(tmp_path, PINNED)
+        for sub in cli.COMMANDS:
+            assert main([sub, path, "--out", str(tmp_path / sub)]) == 0
+            line = capsys.readouterr().out.strip()
+            assert line.startswith(f"{sub}: ") and re.search(r"\d", line), line
+            assert line != f"{sub}: done" and "np.float64(" not in line, line
+        # both ledgers carry the slope of every state
+        for sub in ("simulate-1d", "simulate-2d"):
+            ledger = np.genfromtxt(tmp_path / sub / "ledger.csv", delimiter=",", names=True)
+            assert np.all(np.isfinite(ledger["slope"])) and np.all(ledger["slope"] > 0.0)
 
     def test_report_prints_summary(self, tmp_path, capsys):
         path = write(tmp_path, XI2_DECAY)

@@ -199,7 +199,7 @@ def test_a_trajectory_values_each_point_once(build, monkeypatch):
     monkeypatch.setattr(system, "_products", lambda s, s_a: products.append(1) or make(s, s_a))
 
     def run(s):
-        return run_trajectory(s, u0, TAU, 4 * TAU, SolverOptions(tol=1e-9), s.local_slope)
+        return run_trajectory(s, u0, TAU, 4 * TAU, SolverOptions(tol=1e-9))
 
     traj = run(system)
     # each Newton iterate once (every step is full here) and u0: a step's
@@ -207,9 +207,10 @@ def test_a_trajectory_values_each_point_once(build, monkeypatch):
     assert len(products) == sum(r.newton_iters for r in traj.reports) + 1
     # the record changes no number: a second run on the same system and a
     # run on a fresh one give the same ledger, bit for bit
-    ledger = np.array(traj.ledger_rows())
-    for other in (run(system), run(build()[0])):
-        assert np.array_equal(np.array(other.ledger_rows()), ledger, equal_nan=True)
+    ledger = np.array(traj.ledger_rows(system))
+    fresh = build()[0]
+    for s, other in ((system, run(system)), (fresh, run(fresh))):
+        assert np.array_equal(np.array(other.ledger_rows(s)), ledger, equal_nan=True)
         assert all(np.array_equal(a, b) for a, b in zip(other.states, traj.states))
 
 

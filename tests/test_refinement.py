@@ -42,7 +42,7 @@ def ribbon_runs():
     runs = {}
     for n in RIBBON_MESHES:
         s = RibbonSystem(Mesh1D(l=1.0, n=n), H1)
-        runs[n] = s, run_trajectory(s, s.interpolate(*DATUM), 0.01, 0.5, slope_fn=s.local_slope)
+        runs[n] = s, run_trajectory(s, s.interpolate(*DATUM), 0.01, 0.5)
     return runs
 
 

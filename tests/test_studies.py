@@ -5,7 +5,8 @@ import pytest
 from numpy.polynomial import Polynomial
 
 from vkribbon import studies
-from vkribbon.fem import BoundaryData, Hermite3Space, Mesh1D, Mesh2D, P1Space
+from vkribbon.config import Scenario
+from vkribbon.fem import Hermite3Space, Mesh1D, Mesh2D, P1Space
 from vkribbon.flow import SolverOptions, dissipation_ledger, run_trajectory
 from vkribbon.forms import MaterialPair
 from vkribbon.plate import PlateSystem, RecoveryInputs, build_recovery
@@ -118,60 +119,42 @@ class TestTauStudy:
         assert 0.8 <= rep.summary["residual_order"] <= 1.2
 
 
+def scenario(material, n, eps_list, T, initial, tau=0.05, tau_list=(0.1, 0.05), **kw):
+    """A study scenario on the n-element ribbon and the n x 4 plate."""
+    return Scenario(
+        material,
+        epsilon_list=list(eps_list),
+        n1d=n,
+        nx=n,
+        ny=4,
+        tau=tau,
+        T=T,
+        tau_list=list(tau_list),
+        initial=initial,
+        **kw,
+    )
+
+
 class TestEpsilonStudy:
     def test_refuses_incompatible_material(self):
         with pytest.raises(HypothesisError):
-            epsilon_study(
-                NONE_MAT,
-                BoundaryData.zero(),
-                RibbonForces.zero(),
-                [0.2, 0.1],
-                0.05,
-                0.2,
-                Mesh1D(l=1.0, n=8),
-                Mesh2D(l=1.0, nx=8, ny=4),
-                xi2_initial(),
-            )
+            epsilon_study(scenario(NONE_MAT, 8, [0.2, 0.1], 0.2, xi2_initial()))
 
     def test_exact_embedding_coincides(self):
         # (xi1, w)-only data embeds exactly; trajectories coincide at all eps
-        mesh1 = Mesh1D(l=1.0, n=8)
-        mesh2 = Mesh2D(l=1.0, nx=8, ny=4)
         initial = ((0.0,), (0.0,), tuple((0.8 * BUMP).coef), (0.0,))
-        rep = epsilon_study(
-            H1,
-            BoundaryData.zero(),
-            RibbonForces.zero(),
-            [0.4, 0.2],
-            0.05,
-            0.2,
-            mesh1,
-            mesh2,
-            initial,
-        )
+        rep = epsilon_study(scenario(H1, 8, [0.4, 0.2], 0.2, initial))
         dists = rep.column("d0_projected")
         assert np.abs(dists).max() <= 1e-8
 
     def test_distances_decrease_in_eps(self):
-        mesh1 = Mesh1D(l=1.0, n=24)
-        mesh2 = Mesh2D(l=1.0, nx=24, ny=4)
         initial = (
             (0.0,),
             tuple((0.2 * BUMP).coef),
             tuple((1.5 * BUMP).coef),
             tuple((3.0 * BUMP).coef),
         )
-        rep = epsilon_study(
-            H1,
-            BoundaryData.zero(),
-            RibbonForces.zero(),
-            [0.2, 0.1],
-            0.05,
-            0.2,
-            mesh1,
-            mesh2,
-            initial,
-        )
+        rep = epsilon_study(scenario(H1, 24, [0.2, 0.1], 0.2, initial))
         # includes the static (t = 0) recovery projection error
         assert 0.0 in rep.column("t")
         for t in set(rep.column("t")):
@@ -179,20 +162,10 @@ class TestEpsilonStudy:
             assert sub[1][2] < sub[0][2]
 
     def test_h2_dynamic_runs(self):
-        from vkribbon.flow import SolverOptions
-
         mat = MaterialPair.isotropic(1.0, 0.5, 1.0, 0.5, h2_family=True)
+        initial = ((0.0,), (0.0,), tuple((1.0 * BUMP).coef), tuple((2.0 * BUMP).coef))
         rep = epsilon_study(
-            mat,
-            BoundaryData.zero(),
-            RibbonForces.zero(),
-            [0.3, 0.15],
-            0.05,
-            0.1,
-            Mesh1D(l=1.0, n=12),
-            Mesh2D(l=1.0, nx=12, ny=4),
-            ((0.0,), (0.0,), tuple((1.0 * BUMP).coef), tuple((2.0 * BUMP).coef)),
-            options=SolverOptions(tol=1e-8),
+            scenario(mat, 12, [0.3, 0.15], 0.1, initial, solver=SolverOptions(tol=1e-8))
         )
         d = rep.column("d0_projected")
         assert np.all(np.isfinite(d))
@@ -201,67 +174,23 @@ class TestEpsilonStudy:
 class TestCommutativity:
     def test_empty_lists_rejected(self):
         with pytest.raises(ValueError):
-            commutativity_report(
-                H1,
-                BoundaryData.zero(),
-                RibbonForces.zero(),
-                [],
-                [0.1],
-                0.2,
-                Mesh1D(l=1.0, n=8),
-                Mesh2D(l=1.0, nx=8, ny=4),
-                xi2_initial(),
-            )
+            commutativity_report(scenario(H1, 8, [], 0.2, xi2_initial(), tau_list=[0.1]))
 
     def test_refuses_incompatible_material(self):
         with pytest.raises(HypothesisError):
-            commutativity_report(
-                NONE_MAT,
-                BoundaryData.zero(),
-                RibbonForces.zero(),
-                [0.2],
-                [0.1],
-                0.2,
-                Mesh1D(l=1.0, n=8),
-                Mesh2D(l=1.0, nx=8, ny=4),
-                xi2_initial(),
-            )
+            commutativity_report(scenario(NONE_MAT, 8, [0.2], 0.2, xi2_initial(), tau_list=[0.1]))
 
     def test_linear_exact_embedding_small_discrepancy(self):
         # xi1-only data: linear flow, exact embedding; both refinement paths
         # agree to solver accuracy
-        mesh1 = Mesh1D(l=1.0, n=8)
-        mesh2 = Mesh2D(l=1.0, nx=8, ny=4)
         initial = (tuple((0.5 * Polynomial.fromroots([-0.5, 0.5])).coef), (0.0,), (0.0,), (0.0,))
-        rep = commutativity_report(
-            H1,
-            BoundaryData.zero(),
-            RibbonForces.zero(),
-            [0.4, 0.2],
-            [0.1, 0.05],
-            0.2,
-            mesh1,
-            mesh2,
-            initial,
-        )
+        rep = commutativity_report(scenario(H1, 8, [0.4, 0.2], 0.2, initial))
         assert np.abs(rep.column("path_discrepancy")).max() <= 1e-7
         assert np.abs(rep.column("horizontal_leg")).max() <= 1e-7
 
     def test_diagonal_smallest(self):
-        mesh1 = Mesh1D(l=1.0, n=16)
-        mesh2 = Mesh2D(l=1.0, nx=16, ny=4)
         initial = ((0.0,), (0.0,), tuple((1.0 * BUMP).coef), tuple((2.0 * BUMP).coef))
-        rep = commutativity_report(
-            H1,
-            BoundaryData.zero(),
-            RibbonForces.zero(),
-            [0.2, 0.1],
-            [0.1, 0.05],
-            0.2,
-            mesh1,
-            mesh2,
-            initial,
-        )
+        rep = commutativity_report(scenario(H1, 16, [0.2, 0.1], 0.2, initial))
         # gap to the doubly refined reference is smallest at (eps_min, tau_min)
         t_final = 0.2
         diag = {
@@ -269,6 +198,18 @@ class TestCommutativity:
         }
         best = diag[(0.1, 0.05)]
         assert all(best <= v + 1e-12 for v in diag.values())
+
+    def test_horizontal_leg_at_tau_is_the_reduce_study_distance(self):
+        # both studies run the one sweep: at the scenario's tau the
+        # horizontal leg is reduce-study's d0_projected, bit for bit
+        initial = ((0.0,), tuple((0.2 * BUMP).coef), tuple((1.5 * BUMP).coef), (0.0,))
+        sc = scenario(H1, 8, [0.4, 0.2], 0.2, initial, forces=RibbonForces.from_coeffs(f=(1.0,)))
+        assert sc.tau in sc.tau_list
+        reduce = epsilon_study(sc)
+        d0 = {(r[0], r[1]): r[2] for r in reduce.rows if r[1] > 0.0}
+        legs = {(r[0], r[2]): r[3] for r in commutativity_report(sc).rows if r[1] == sc.tau}
+        assert d0 == legs and len(d0) == 2 * len(studies.SAMPLE_FRACTIONS)
+        assert all(v > 0.0 for v in d0.values())
 
 
 class TestGammaCheck:
@@ -388,8 +329,23 @@ class TestGeodesicConvexity:
                 d = abs(float(b[0] - a[0]))
                 return np.sqrt(7.0) * d if 0.0 < b[0] < 1.0 else d
 
-        rep = geodesic_convexity_check(Stretched(), [np.zeros(1)], [np.ones(1)], 3, c_max=3.5)
+        rep = geodesic_convexity_check(Stretched(), [np.zeros(1)], [np.ones(1)], 3)
         assert rep.summary["C"] == pytest.approx(3.0, rel=1e-9)
+
+    @pytest.mark.parametrize("bulging", ["metric", "energy"])
+    def test_sample_failing_at_every_constant_raises(self, bulging):
+        """The endpoints are at distance zero, so no C helps an interpolant
+        that lies away from the start or above the endpoint energies."""
+
+        class Pinched:
+            def energy(self, u):
+                return float(bulging == "energy" and 0.0 < u[0] < 1.0)
+
+            def metric(self, a, b):
+                return float(bulging == "metric" and 0.0 < b[0] < 1.0)
+
+        with pytest.raises(RuntimeError):
+            geodesic_convexity_check(Pinched(), [np.zeros(1)], [np.ones(1)], 3)
 
 
 class TestSlopeConsistency:
