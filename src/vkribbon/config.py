@@ -18,7 +18,9 @@ Example::
 
 Polynomial values are coefficient lists in ascending powers of x1.
 Unknown sections or keys are rejected with the offending path in the
-message; omitted keys take the defaults below.
+message; omitted keys take the defaults below.  A line starting with
+";" or "#" is a comment, and so is the rest of a line from a ";" that
+follows whitespace.
 """
 
 from __future__ import annotations
@@ -150,7 +152,9 @@ def _build_material(sec: dict) -> MaterialPair:
 
 
 def load_scenario(path) -> Scenario:
-    parser = configparser.ConfigParser(interpolation=None)
+    # a ";" after whitespace starts a comment, also after a value; no
+    # value of the schema holds one
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     parser.optionxform = str  # keys are case-sensitive
     with open(path, "rb") as f:
         data = f.read()

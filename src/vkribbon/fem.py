@@ -37,12 +37,12 @@ LAPACK band storage.  The plan factors that band in place by direct
 LAPACK calls (banded Cholesky, unscaled or with its diagonal raised by a
 given multiple of |diag H|) into a solver that outlives it.
 A space's sparse sampling matrix (rows = quadrature points, columns =
-DOFs) builds the load vector, once per system.
+DOFs) builds the load vector of a nonzero load, once per system.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -77,9 +77,9 @@ class Mesh1D:
     def h(self) -> float:
         return self.l / self.n
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(-0.5 * self.l, 0.5 * self.l, self.n + 1)
+        return _read_only(np.linspace(-0.5 * self.l, 0.5 * self.l, self.n + 1))
 
     def locate(self, x) -> np.ndarray:
         """Element index of each point (clamped to valid range)."""
@@ -90,7 +90,14 @@ class Mesh1D:
 
 @dataclass(frozen=True)
 class Mesh2D:
-    """Tensor-product mesh of S = I x (-1/2, 1/2), nx x ny rectangles."""
+    """Tensor-product mesh of S = I x (-1/2, 1/2), nx x ny rectangles.
+
+    A mesh owns the tables that do not depend on the width eps: its node
+    arrays, its default quadrature, the element DOFs of the packed plate
+    state and the Q1 and BFS reference bases at one element's quadrature
+    points.  Each is built on its first read and kept read-only, so every
+    plate on this mesh object shares it; equal meshes share nothing.
+    """
 
     l: float = 1.0
     nx: int = 64
@@ -110,13 +117,13 @@ class Mesh2D:
     def hy(self) -> float:
         return 1.0 / self.ny
 
-    @property
+    @cached_property
     def x_nodes(self) -> np.ndarray:
-        return np.linspace(-0.5 * self.l, 0.5 * self.l, self.nx + 1)
+        return _read_only(np.linspace(-0.5 * self.l, 0.5 * self.l, self.nx + 1))
 
-    @property
+    @cached_property
     def y_nodes(self) -> np.ndarray:
-        return np.linspace(-0.5, 0.5, self.ny + 1)
+        return _read_only(np.linspace(-0.5, 0.5, self.ny + 1))
 
     @property
     def n_nodes(self) -> int:
@@ -126,9 +133,50 @@ class Mesh2D:
         """Global node number of grid node (i, j); x-major ordering."""
         return np.asarray(i) * (self.ny + 1) + np.asarray(j)
 
+    @cached_property
     def node_coords(self) -> tuple[np.ndarray, np.ndarray]:
+        """(x1, x2) of every node in node order."""
         xi, yj = np.meshgrid(self.x_nodes, self.y_nodes, indexing="ij")
-        return xi.ravel(), yj.ravel()
+        return _read_only(xi.ravel()), _read_only(yj.ravel())
+
+    @cached_property
+    def quadrature(self) -> "Quadrature2D":
+        """The default Gauss rule on this mesh.  It holds an equal mesh, not
+        this one: a reference cycle would keep every used mesh alive until
+        the garbage collector ran."""
+        return Quadrature2D(replace(self))
+
+    @cached_property
+    def element_dofs(self) -> np.ndarray:
+        """DOFs (E, 24) of every element ex * ny + ey in the packed 2D state
+        (y1 | y2 | w) of ``dirichlet_2d``: its Q1 DOFs in y1 and in y2, then
+        its BFS DOFs in w."""
+        ex, ey = np.divmod(np.arange(self.nx * self.ny), self.ny)
+        q1, bfs = Q1Space(self).element_dofs(ex, ey), BFSSpace(self).element_dofs(ex, ey)
+        return _read_only(np.hstack([q1, q1 + self.n_nodes, bfs + 2 * self.n_nodes]))
+
+    @cached_property
+    def reference_bases(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Q1 basis derivatives of orders ``FIRST`` (2, nq, 4) and the BFS
+        basis derivatives of orders ``FIRST + SECOND`` (5, nq, 16) at the
+        points kx * p + ky of the default quadrature on one element."""
+        pts = self.quadrature.rule.points
+        sx, sy = np.repeat(pts, pts.size), np.tile(pts, pts.size)
+        q1, bfs = Q1Space(self), BFSSpace(self)
+        return (
+            _read_only(np.stack([q1.ref_basis(sx, sy, dx, dy) for dx, dy in FIRST])),
+            _read_only(np.stack([bfs.ref_basis(sx, sy, dx, dy) for dx, dy in FIRST + SECOND])),
+        )
+
+
+# the (d1, d2) derivative orders of a gradient and of a Hessian
+FIRST = ((1, 0), (0, 1))
+SECOND = ((2, 0), (1, 1), (0, 2))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +224,15 @@ class Quadrature1D:
         self.weights = np.tile(self.rule.weights * mesh.h, mesh.n)
         self.n_points = self.points.size
 
+    def of_x1(self, fn) -> np.ndarray:
+        """A function of x1 at every point."""
+        return fn(self.points)
+
+    @cached_property
+    def channel_weights(self) -> np.ndarray:
+        """The weights in channel-major order (ElementTables)."""
+        return _read_only(self.by_element(self.weights).T.ravel())
+
     def by_element(self, values) -> np.ndarray:
         """Point values regrouped as (element, local point, ...)."""
         v = np.asarray(values)
@@ -192,33 +249,62 @@ class Quadrature2D:
 
     Point layout is (ex, kx, ey, ky)-major so each x1-station (ex, kx)
     owns a contiguous block of ny*order transverse points; x2-averages
-    reduce to a reshape + weighted sum.
+    reduce to a reshape + weighted sum.  The weights are the outer product
+    of the station and the transverse weights; the per-point coordinates
+    and element indices are built on first read.
     """
 
     def __init__(self, mesh: Mesh2D, rule: GaussRule | None = None):
         self.mesh = mesh
         self.rule = rule or GaussRule()
-        p = self.rule.order
         nx, ny = mesh.nx, mesh.ny
-        sx = np.repeat(np.tile(self.rule.points, nx), ny * p)
-        ex = np.repeat(np.arange(nx), p * ny * p)
-        block = np.tile(np.repeat(np.arange(ny), p), nx * p)
-        sy = np.tile(np.tile(self.rule.points, ny), nx * p)
-        self.ref_x, self.ref_y = sx, sy
-        self.element_x, self.element_y = ex, block
-        self.x = mesh.x_nodes[ex] + sx * mesh.hx
-        self.y = mesh.y_nodes[block] + sy * mesh.hy
-        wx = np.repeat(np.tile(self.rule.weights * mesh.hx, nx), ny * p)
-        wy = np.tile(np.tile(self.rule.weights * mesh.hy, ny), nx * p)
-        self.weights = wx * wy
-        self.wy_station = np.tile(self.rule.weights * mesh.hy, ny)
-        self.n_stations = nx * p
-        self.n_transverse = ny * p
-        self.n_points = self.x.size
+        self.n_stations = nx * self.rule.order
+        self.n_transverse = ny * self.rule.order
+        self.n_points = self.n_stations * self.n_transverse
+        self.wy_station = _read_only(np.tile(self.rule.weights * mesh.hy, ny))
+        wx = np.tile(self.rule.weights * mesh.hx, nx)
+        self.weights = _read_only(np.multiply.outer(wx, self.wy_station).ravel())
+
+    @cached_property
+    def ref_x(self) -> np.ndarray:
+        return _read_only(self.spread(np.tile(self.rule.points, self.mesh.nx)))
+
+    @cached_property
+    def ref_y(self) -> np.ndarray:
+        return _read_only(np.tile(self.rule.points, self.mesh.ny * self.n_stations))
+
+    @cached_property
+    def element_x(self) -> np.ndarray:
+        return _read_only(self.spread(np.repeat(np.arange(self.mesh.nx), self.rule.order)))
+
+    @cached_property
+    def element_y(self) -> np.ndarray:
+        transverse = np.repeat(np.arange(self.mesh.ny), self.rule.order)
+        return _read_only(np.tile(transverse, self.n_stations))
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        return _read_only(self.spread(self.x_stations()))
+
+    @cached_property
+    def y(self) -> np.ndarray:
+        m = self.mesh
+        transverse = m.y_nodes[:-1, None] + self.rule.points * m.hy
+        return _read_only(np.tile(transverse.ravel(), self.n_stations))
 
     def x_stations(self) -> np.ndarray:
         """The distinct x1 coordinates, one per station."""
-        return self.x.reshape(self.n_stations, self.n_transverse)[:, 0]
+        m = self.mesh
+        return (m.x_nodes[:-1, None] + self.rule.points * m.hx).ravel()
+
+    def of_x1(self, fn) -> np.ndarray:
+        """A function of x1 alone at every point: once per station, spread."""
+        return self.spread(fn(self.x_stations()))
+
+    @cached_property
+    def channel_weights(self) -> np.ndarray:
+        """The weights in channel-major order (ElementTables)."""
+        return _read_only(self.by_element(self.weights).T.ravel())
 
     def x2_average(self, values: np.ndarray) -> np.ndarray:
         """Transverse average per x1-station (the strip has unit width)."""
@@ -430,7 +516,7 @@ class Q1Space:
         )
 
     def interpolate(self, f) -> np.ndarray:
-        x, y = self.mesh.node_coords()
+        x, y = self.mesh.node_coords
         return np.asarray(f(x, y), dtype=float)
 
     def sample_matrix(self, quad: Quadrature2D, dx: int, dy: int) -> sp.csr_matrix:
@@ -468,7 +554,7 @@ class BFSSpace:
         return np.stack(out, axis=-1)
 
     def interpolate(self, f, fx, fy, fxy) -> np.ndarray:
-        x, y = self.mesh.node_coords()
+        x, y = self.mesh.node_coords
         coeffs = np.empty(self.n_dofs)
         coeffs[0::4] = f(x, y)
         coeffs[1::4] = fx(x, y)
@@ -620,32 +706,34 @@ class ElementTables:
 
     ``dofs`` (E, k) lists the global DOFs of each element; ``rows`` (nq, r, k)
     holds r reference rows (scaled basis derivatives) at the nq quadrature
-    points of an element, the same for every element, ``weights`` (nq,) its
-    quadrature weights, and ``coupling`` (r, r) marks the row pairs a
-    Hessian density may couple.  The strain channels are the rows
-    ``linear`` plus terms quadratic in the rows ``slope``; ``pairs`` lists
-    the row pairs (i, j) on which a Hessian density is not the channel
-    form on the linear rows (the assembly plan folds them).
+    points of an element, the same for every element, ``point_weights``
+    (nq * E,) the quadrature weight of every point in the channel-major
+    order below and ``weights`` (nq,) those of one element, and
+    ``coupling`` (r, r) marks the row pairs a Hessian density may couple.
+    The strain channels are the rows ``linear`` plus terms quadratic in the
+    rows ``slope``; ``pairs`` lists the row pairs (i, j) on which a Hessian
+    density is not the channel form on the linear rows (the assembly plan
+    folds them).
 
     Values live channel-major: a row (or channel) c of n holds its value
     at every point, ``X[c, q * E + e]`` at the local point q of element e,
     so an (n, nq * E) array reshaped to (n * nq, E) is the operand of one
     matrix product with the element coefficients, gathered as (E, k) and
-    read transposed.  ``point_weights`` (nq * E,) is the quadrature weight
-    of every point in that order.  ``all_e`` (r * nq, k) holds every row,
-    the table of ``evaluate``; ``split_e`` the linear rows over the slope
-    rows, the table of ``split_evaluate``; ``lin_t`` and ``slope_t`` (n *
-    nq, k) are the same rows with the quadrature weights folded in, the
-    tables of ``split_scatter``.
+    read transposed.  ``all_e`` (r * nq, k) holds every row, the table of
+    ``evaluate``; ``split_e`` the linear rows over the slope rows, the
+    table of ``split_evaluate``; ``lin_t`` and ``slope_t`` (n * nq, k) are
+    the same rows with the quadrature weights folded in, the tables of
+    ``split_scatter``.
     """
 
-    def __init__(self, dofs, rows, weights, coupling, n_dofs: int, linear, slope, pairs):
-        self.dofs, self.rows, self.weights, self.coupling = dofs, rows, weights, coupling
+    def __init__(self, dofs, rows, point_weights, coupling, n_dofs: int, linear, slope, pairs):
+        self.dofs, self.rows, self.coupling = dofs, rows, coupling
         self.n_dofs = n_dofs
         self.linear, self.slope = np.asarray(linear), np.asarray(slope)
         self.pairs = np.asarray(pairs)
-        e, (nq, _, k) = len(dofs), rows.shape
-        self.point_weights = np.repeat(weights, e)
+        nq, _, k = rows.shape
+        self.point_weights = point_weights
+        self.weights = weights = point_weights[:: len(dofs)]
         by_row = rows.transpose(1, 0, 2)  # (r, nq, k)
         self.all_e = by_row.reshape(-1, k)
         self.split_e = np.concatenate([by_row[linear], by_row[slope]]).reshape(-1, k)
@@ -947,22 +1035,22 @@ class FieldSystem:
 
     @cached_property
     def _force(self) -> np.ndarray:
-        """Load vector of ``_loads`` (field, its space, density); its dot
-        product with u is the work of the dead loads."""
+        """Load vector of ``_loads`` (field, its space, load polynomial in
+        x1); its dot product with u is the work of the dead loads.  Only a
+        nonzero polynomial is evaluated."""
         f = np.zeros(self.n_dofs)
         value = (0,) * (2 if isinstance(self.quad, Quadrature2D) else 1)
-        for name, space, dens in self._loads:
-            if np.any(dens):
+        for name, space, load in self._loads:
+            if np.any(load.coef):
                 B = space.sample_matrix(self.quad, *value)
-                f[self.slices[name]] = B.T @ (self.wq * dens)
+                f[self.slices[name]] = B.T @ (self.wq * self.quad.of_x1(load))
         return f
 
     @cached_property
     def _tables(self) -> ElementTables:
         dofs, rows, coupling = self._element_rows()
-        weights = self.quad.by_element(self.wq)[0]
         return ElementTables(
-            dofs, rows, weights, coupling, self.n_dofs,
+            dofs, rows, self.quad.channel_weights, coupling, self.n_dofs,
             self.LINEAR_ROWS, self.SLOPE_ROWS, self._row_pairs,
         )
 

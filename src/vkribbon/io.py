@@ -8,10 +8,12 @@ header rows.  Every writer goes through the temp-file + rename path.
 from __future__ import annotations
 
 import os
+import platform
 import tempfile
 import time
 
 import numpy as np
+import scipy
 
 from .fem import Mesh1D, Mesh2D
 from .flow import LEDGER_COLUMNS
@@ -167,11 +169,17 @@ def load_snapshot(path, bc=None):
 def write_manifest(path, scenario, outputs, version: str, started: float) -> None:
     """Flat key=value run manifest; written before any result file.
 
-    Records the config echo, the hypothesis classification, the derived
-    reduction constants, and the planned output files."""
+    Records the library versions and the host's system and machine, the
+    config echo, the hypothesis classification, the derived reduction
+    constants, and the planned output files."""
     material = scenario.material
     lines = [
         f"version = {version}",
+        f"python = {platform.python_version()}",
+        f"numpy = {np.__version__}",
+        f"scipy = {scipy.__version__}",
+        f"system = {platform.system()}",
+        f"machine = {platform.machine()}",
         f"written_at = {time.strftime('%Y-%m-%dT%H:%M:%S', time.gmtime())}",
         f"wall_clock_start = {started:.3f}",
         f"config_sha256 = {scenario.sha256}",

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fem import (
+    FIRST,
+    SECOND,
     BFSSpace,
     BoundaryData,
     FieldSystem,
@@ -27,7 +29,6 @@ from .fem import (
     Mesh2D,
     P1Space,
     Q1Space,
-    Quadrature2D,
     check_traces,
     dirichlet_1d,
     dirichlet_2d,
@@ -81,23 +82,19 @@ class PlateSystem(FieldSystem):
         self.eps = float(eps)
         self.material = material
         self.bc = bc or BoundaryData.zero()
-        forces = forces or RibbonForces.zero()
-        self.quad = Quadrature2D(mesh)
+        self.forces = forces or RibbonForces.zero()
+        self.quad = mesh.quadrature
 
         self.q1 = Q1Space(mesh)
         self.bfs = BFSSpace(mesh)
         sizes = {"y1": self.q1.n_dofs, "y2": self.q1.n_dofs, "w": self.bfs.n_dofs}
         self._set_layout(sizes, *dirichlet_2d(mesh, self.bc))
 
-        q = self.quad
-        self.wq = q.weights
+        self.wq = self.quad.weights
         self.CW = material.W.C
         self.CR = material.viscous_matrix(self.eps)
-        xs = q.x_stations()
-        self.f_q, self.g1_q, self.g2_q = (q.spread(p(xs)) for p in (forces.f, forces.g1, forces.g2))
-        self._loads = [
-            ("w", self.bfs, self.f_q), ("y1", self.q1, self.g1_q), ("y2", self.q1, self.g2_q)
-        ]
+        f = self.forces
+        self._loads = [("w", self.bfs, f.f), ("y1", self.q1, f.g1), ("y2", self.q1, f.g2)]
         # the strain channels (mu, h) carry the forms C and C / 12
         self.QW, self.QR = np.zeros((6, 6)), np.zeros((6, 6))
         for Q, C in ((self.QW, self.CW), (self.QR, self.CR)):
@@ -133,21 +130,18 @@ class PlateSystem(FieldSystem):
     def _element_rows(self):
         """Element DOFs (y1 | y2 | w) and reference rows: the linear strain
         (E11, E12, E22), the scaled deflection gradient (g1, g2) and the
-        scaled Hessian (h11, h12, h22); membrane and bending rows never meet."""
-        q, eps = self.quad, self.eps
-        ex = q.by_element(q.element_x)[:, 0]
-        ey = q.by_element(q.element_y)[:, 0]
-        y_dofs = self.q1.element_dofs(ex, ey)
-        w_dofs = self.bfs.element_dofs(ex, ey) + self.offsets[2]
-        dofs = np.hstack([y_dofs, y_dofs + self.offsets[1], w_dofs])
-        sx, sy = q.by_element(q.ref_x)[0], q.by_element(q.ref_y)[0]
-        rows = np.zeros((sx.size, 8, dofs.shape[1]))
-        rows[:, 0, :4] = self.q1.ref_basis(sx, sy, 1, 0)
-        rows[:, 1, :4] = self.q1.ref_basis(sx, sy, 0, 1) / (2.0 * eps)
-        rows[:, 1, 4:8] = self.q1.ref_basis(sx, sy, 1, 0) / (2.0 * eps)
-        rows[:, 2, 4:8] = self.q1.ref_basis(sx, sy, 0, 1) / eps**2
-        for i, (dx, dy) in enumerate(((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))):
-            rows[:, 3 + i, 8:] = self.bfs.ref_basis(sx, sy, dx, dy) / eps**dy
+        scaled Hessian (h11, h12, h22); membrane and bending rows never meet.
+        The DOFs and the reference bases are the mesh's; only the scaling
+        by eps is formed here."""
+        eps, dofs = self.eps, self.mesh.element_dofs
+        (q1_x, q1_y), bfs = self.mesh.reference_bases
+        rows = np.zeros((q1_x.shape[0], 8, dofs.shape[1]))
+        rows[:, 0, :4] = q1_x
+        rows[:, 1, :4] = q1_y / (2.0 * eps)
+        rows[:, 1, 4:8] = q1_x / (2.0 * eps)
+        rows[:, 2, 4:8] = q1_y / eps**2
+        for i, (_, dy) in enumerate(FIRST + SECOND):
+            rows[:, 3 + i, 8:] = bfs[i] / eps**dy
         coupling = np.ones((8, 8), dtype=bool)
         coupling[:3, 5:] = coupling[5:, :3] = False
         return dofs, rows, coupling
@@ -316,7 +310,7 @@ def build_recovery(system: PlateSystem, inputs: RecoveryInputs) -> np.ndarray:
     # the fields depend on x1 alone: give each x-node's values the ny + 1
     # nodes it owns in the x-major node order
     f = {k: np.repeat(v, mesh2.ny + 1) for k, v in fields.items()}
-    x2 = mesh2.node_coords()[1]
+    x2 = mesh2.node_coords[1]
     quad = 0.5 * (x2 + 0.5) ** 2
     zint = f["za"] * (x2 + 0.5) + 0.5 * f["zb"] * (x2**2 - 0.25)
     nodal = (

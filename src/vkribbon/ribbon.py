@@ -123,14 +123,9 @@ class RibbonSystem(FieldSystem):
         sizes = {"xi1": n1, "xi2": n3, "w": n3, "theta": n1}
         self._set_layout(sizes, *dirichlet_1d(mesh, self.bc))
 
-        q = self.quad
-        self.wq = q.weights
-        self.f_q = self.forces.f(q.points)
-        self.g1_q = self.forces.g1(q.points)
-        self.g2_q = self.forces.g2(q.points)
-        self._loads = [
-            ("w", self.h3, self.f_q), ("xi1", self.p1, self.g1_q), ("xi2", self.h3, self.g2_q)
-        ]
+        self.wq = self.quad.weights
+        f = self.forces
+        self._loads = [("w", self.h3, f.f), ("xi1", self.p1, f.g1), ("xi2", self.h3, f.g2)]
         # the strain channels (a, m, kappa, t) carry C0, C0 / 12 and Q1 / 12
         self.QW, self.QR = np.zeros((4, 4)), np.zeros((4, 4))
         m = material

@@ -2,8 +2,31 @@
 
 import numpy as np
 
-from vkribbon.fem import BFSSpace, FemError, Mesh2D, Q1Space
+from vkribbon.fem import BFSSpace, FemError, GaussRule, Mesh2D, Q1Space
 from vkribbon.ribbon import BEND_FACTOR, RibbonState
+
+
+def repeat_tile_quadrature(mesh: Mesh2D, rule: GaussRule) -> dict:
+    """Every per-point array of a 2D tensor Gauss rule, built point by point
+    from repeat and tile chains in the (ex, kx, ey, ky)-major layout."""
+    p, nx, ny = rule.order, mesh.nx, mesh.ny
+    x_nodes = np.linspace(-0.5 * mesh.l, 0.5 * mesh.l, nx + 1)
+    y_nodes = np.linspace(-0.5, 0.5, ny + 1)
+    sx = np.repeat(np.tile(rule.points, nx), ny * p)
+    ex = np.repeat(np.arange(nx), p * ny * p)
+    ey = np.tile(np.repeat(np.arange(ny), p), nx * p)
+    sy = np.tile(np.tile(rule.points, ny), nx * p)
+    wx = np.repeat(np.tile(rule.weights * mesh.hx, nx), ny * p)
+    wy = np.tile(np.tile(rule.weights * mesh.hy, ny), nx * p)
+    return {
+        "ref_x": sx,
+        "ref_y": sy,
+        "element_x": ex,
+        "element_y": ey,
+        "x": x_nodes[ex] + sx * mesh.hx,
+        "y": y_nodes[ey] + sy * mesh.hy,
+        "weights": wx * wy,
+    }
 
 
 def scaled_operators_2d(mesh: Mesh2D, eps: float, fields: dict, points) -> dict:

@@ -1,7 +1,9 @@
 """Scenario parsing, persistence round-trips, CLI exit behavior."""
 
+import dataclasses
 import hashlib
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from vkribbon import cli
 from vkribbon.cli import main
@@ -88,6 +91,11 @@ def write(tmp_path, text, name="scenario.cfg"):
     return str(p)
 
 
+def readme_scenario() -> str:
+    """The README's ```ini scenario block, verbatim."""
+    return re.search(r"```ini\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
+
+
 class TestScenario:
     def test_minimal_fills_defaults(self, tmp_path):
         path = write(tmp_path, MINIMAL)
@@ -123,6 +131,20 @@ CR = 2 0 0 0 2 0 0 0 2
         bad = MINIMAL + "\n[shenanigans]\nx = 1\n"
         with pytest.raises(ScenarioError, match="shenanigans"):
             load_scenario(write(tmp_path, bad))
+
+    def test_readme_block_loads_as_written(self, tmp_path):
+        block = readme_scenario()
+        stripped = "\n".join(line.split(";")[0].rstrip() for line in block.splitlines())
+        assert stripped != block  # the block carries inline comments
+        verbatim = load_scenario(write(tmp_path, block, "verbatim.cfg"))
+        plain = load_scenario(write(tmp_path, stripped, "stripped.cfg"))
+        assert verbatim.sha256 != plain.sha256
+        assert verbatim.raw == plain.raw
+        assert repr(dataclasses.replace(verbatim, sha256="")) == repr(
+            dataclasses.replace(plain, sha256="")
+        )
+        assert verbatim.material.h2_family is False and verbatim.out_dir == "out"
+        assert verbatim.cutoff_width == 0.1 and verbatim.solver.tol == 1e-10
 
     def test_polynomials_parsed(self, tmp_path):
         text = MINIMAL + "\n[initial]\nw = 0.5 0 -1\n\n[forces]\nf = 1 2\n"
@@ -306,6 +328,21 @@ class TestCli:
         produced = sorted(os.listdir(out))
         produced.remove("manifest.txt")
         assert sorted(listed) == produced
+
+    def test_manifest_records_versions_and_host(self, tmp_path):
+        path = write(tmp_path, XI2_DECAY)
+        assert main(["simulate-1d", path, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        lines = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+        manifest = dict(ln.split(" = ", 1) for ln in lines if not ln.startswith("output"))
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+        assert manifest["scipy"] == scipy.__version__
+        assert manifest["system"] == platform.system()
+        assert manifest["machine"] == platform.machine()
+
+    def test_readme_scenario_runs_gamma_check(self, tmp_path):
+        path = write(tmp_path, readme_scenario())
+        assert main(["gamma-check", path, "--out", str(tmp_path / "out"), "--quiet"]) == 0
 
     def test_solver_failure_exits_2(self, tmp_path):
         cfg = XI2_DECAY + "\n[solver]\nmax_newton = 0\n"

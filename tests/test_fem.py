@@ -19,7 +19,7 @@ from vkribbon.fem import (
     dirichlet_2d,
 )
 
-from oracles import scaled_operators_2d
+from oracles import repeat_tile_quadrature, scaled_operators_2d
 
 
 @pytest.fixture
@@ -132,6 +132,20 @@ class TestQuadrature:
         v5 = np.dot(q5.weights, (space.sample_matrix(q5, 1) @ coeffs) ** 4)
         v9 = np.dot(q9.weights, (space.sample_matrix(q9, 1) @ coeffs) ** 4)
         assert v5 == pytest.approx(v9, rel=1e-14)
+
+    @pytest.mark.parametrize("order", [5, 3])
+    @pytest.mark.parametrize("mesh2", [Mesh2D(l=1.0, nx=12, ny=4), Mesh2D(l=2.5, nx=7, ny=3)])
+    def test_2d_points_match_repeat_tile_construction(self, mesh2, order):
+        rule = GaussRule(order)
+        quad, oracle = Quadrature2D(mesh2, rule), repeat_tile_quadrature(mesh2, rule)
+        for name, values in oracle.items():
+            assert np.array_equal(getattr(quad, name), values), name
+            assert getattr(quad, name).dtype == values.dtype, name
+        assert np.array_equal(quad.x_stations(), oracle["x"][:: quad.n_transverse])
+        elements = mesh2.nx * mesh2.ny
+        one_element = quad.by_element(oracle["weights"])[0]
+        assert np.array_equal(quad.channel_weights, np.repeat(one_element, elements))
+        assert quad.n_points == oracle["x"].size
 
     def test_x2_average(self, mesh2):
         quad = Quadrature2D(mesh2, GaussRule(3))

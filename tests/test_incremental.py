@@ -229,8 +229,9 @@ def test_no_reference_cycle_keeps_a_system_alive(name):
         s.hess_energy(u), s.grad_energy(u), s.energy(u), s.local_slope(u)
         if isinstance(s, RibbonSystem):
             s.slope_solution(u)
-        ref = weakref.ref(s)
+        # the mesh holds the tables it shares with every system on it
+        ref, mesh = weakref.ref(s), weakref.ref(s.mesh)
         del s
-        assert ref() is None
+        assert ref() is None and mesh() is None
     finally:
         gc.enable()

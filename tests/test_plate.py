@@ -5,6 +5,7 @@ import pytest
 from numpy.polynomial import Polynomial
 
 from vkribbon.fem import BoundaryData, Hermite3Space, Mesh1D, Mesh2D, P1Space
+from vkribbon.flow import SolverOptions, run_trajectory
 from vkribbon.forms import MaterialPair
 from vkribbon.plate import (
     BEND_FACTOR,
@@ -448,6 +449,50 @@ class TestPerStationEvaluation:
         for name, space, load in loads:
             reference[s.slices[name]] = space.sample_matrix(q, 0, 0).T @ (s.wq * load(q.x))
         assert np.array_equal(s._force, reference)
+
+
+class TestMeshOwnedTables:
+    """Plates on one mesh share its eps-independent tables; sharing must
+    change no number, and a shared table must refuse writes."""
+
+    FORCES = RibbonForces.from_coeffs(f=(0.2, 0.5), g1=(0.1,), g2=(0.0, 0.3))
+
+    def outputs(self, system, inputs):
+        dofs, rows, coupling = system._element_rows()
+        u = build_recovery(system, inputs)
+        traj = run_trajectory(system, u, 0.02, 0.06, SolverOptions(tol=1e-8))
+        return [dofs, rows, coupling, u, system.energy(u), system._force, *traj.states]
+
+    def test_sharing_changes_no_number(self, mesh1, mat_h1):
+        ribbon = RibbonSystem(mesh1, mat_h1)
+        v = ribbon.interpolate((0.0,), (0.0,), 0.5 * BUMP, 2.0 * BUMP)
+        shared = Mesh2D(l=1.0, nx=12, ny=4)
+        for eps in (0.2, 0.05):
+            got = self.outputs(
+                PlateSystem(shared, eps, mat_h1, forces=self.FORCES),
+                RecoveryInputs(ribbon.state(v)),
+            )
+            alone = self.outputs(
+                PlateSystem(Mesh2D(l=1.0, nx=12, ny=4), eps, mat_h1, forces=self.FORCES),
+                RecoveryInputs(ribbon.state(v)),
+            )
+            assert len(got) == len(alone) > 7
+            for a, b in zip(got, alone):
+                assert np.array_equal(a, b)
+        assert PlateSystem(shared, 0.1, mat_h1).quad is shared.quadrature
+
+    def test_shared_tables_refuse_writes(self, mesh2, mat_h1):
+        s = PlateSystem(mesh2, 0.1, mat_h1)
+        s.energy(s.zero_state())
+        q = mesh2.quadrature
+        owned = [
+            mesh2.x_nodes, mesh2.y_nodes, *mesh2.node_coords, mesh2.element_dofs,
+            *mesh2.reference_bases, q.weights, q.wy_station, q.channel_weights,
+            q.ref_x, q.ref_y, q.element_x, q.element_y, q.x, q.y, s.wq, Mesh1D(n=4).nodes,
+        ]
+        for a in owned:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
 
 
 class TestOperatorPaths:

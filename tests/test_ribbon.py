@@ -340,7 +340,7 @@ class TestWeakResidual:
         expect = (
             B1.T @ (wq * sigma * wprime)
             + B2.T @ (wq * bend1 / 12.0)
-            - B0.T @ (wq * s.f_q)
+            - B0.T @ (wq * s.forces.f(s.quad.points))
         )
         got = res[s.slices["w"]]
         free_w = s.free[s.slices["w"]]
