@@ -26,30 +26,29 @@ integrals, the slope term of the gradient, the linearization) is whole-row
 arithmetic, and a trial point of a time step makes one set of
 channel-form products, QW s and QR (s - s_anchor), from which its value,
 gradient and Hessian are all read.  An ElementAssembly plan, made on the
-first Hessian, orders the fixed pattern of the free DOFs into a narrow
-band, sorting them along the strip (by the first plus the last index of
-the elements holding them) unless reverse Cuthill-McKee's band is
-narrower, computes the element values of the channel forms on the linear
-rows once, and folds the constant slope forms into two element tables: a
-Hessian is then one product with the slopes and one with their products
-and the membrane stress, and one bincount adds its element values up into
-LAPACK band storage.  The plan factors that band in place by direct
-LAPACK calls (banded Cholesky, unscaled or with its diagonal raised by a
-given multiple of |diag H|) into a solver that outlives it.
-A space's sparse sampling matrix (rows = quadrature points, columns =
-DOFs) builds the load vector of a nonzero load, once per system.
+first Hessian, orders the free DOFs into a band from the mesh alone,
+computes the element values of the channel forms on the linear rows once,
+and folds the constant slope forms into two element tables: a Hessian is
+then one product with the slopes and one with their products and the
+membrane stress, and one bincount adds its element values up into LAPACK
+band storage, which the plan factors in place by banded Cholesky
+(unscaled or with its diagonal raised by a multiple of |diag H|) into a
+solver that outlives it.  A load vector is one bincount, too.  Only the
+names that return sparse matrices load scipy.sparse, on their first call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.polynomial import Polynomial
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class FemError(ValueError):
@@ -197,17 +196,20 @@ class GaussRule:
     def __post_init__(self):
         if self.order < 1:
             raise FemError("quadrature order must be >= 1")
-        pts, wts = np.polynomial.legendre.leggauss(self.order)
-        object.__setattr__(self, "_pts", 0.5 * (pts + 1.0))
-        object.__setattr__(self, "_wts", 0.5 * wts)
 
     @property
     def points(self) -> np.ndarray:
-        return self._pts
+        return _gauss_legendre(self.order)[0]
 
     @property
     def weights(self) -> np.ndarray:
-        return self._wts
+        return _gauss_legendre(self.order)[1]
+
+
+@cache  # one read-only pair per order, shared by every rule of that order
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    pts, wts = np.polynomial.legendre.leggauss(order)
+    return _read_only(0.5 * (pts + 1.0)), _read_only(0.5 * wts)
 
 
 class Quadrature1D:
@@ -456,7 +458,8 @@ def _sample_csr(vals: np.ndarray, cols: np.ndarray, n_dofs: int) -> sp.csr_matri
     """CSR matrix with row q holding vals[q] at cols[q], columns sorted.
 
     Every element's DOFs are a translate of the first element's, so one
-    permutation sorts every row."""
+    permutation sorts every row.  scipy.sparse loads on the first call."""
+    import scipy.sparse as sp
     order = np.argsort(cols[0])
     if np.any(np.diff(order) < 0):
         vals, cols = vals.take(order, axis=1), cols.take(order, axis=1)
@@ -469,6 +472,16 @@ def _sample_csr(vals: np.ndarray, cols: np.ndarray, n_dofs: int) -> sp.csr_matri
 def _sample_matrix_1d(space, quad: Quadrature1D, deriv: int) -> sp.csr_matrix:
     vals = space.ref_basis(quad.ref, deriv)
     return _sample_csr(vals, space.element_dofs(quad.element), space.n_dofs)
+
+
+def _element_values(space, quad) -> tuple[np.ndarray, np.ndarray]:
+    """A space's element DOFs (E, k), as ``quad.by_element``, and values (nq, k)."""
+    pts, m = quad.rule.points, quad.mesh
+    if isinstance(quad, Quadrature1D):
+        return space.element_dofs(np.arange(m.n)), space.ref_basis(pts, 0)
+    ex, ey = np.divmod(np.arange(m.nx * m.ny), m.ny)
+    sx, sy = np.repeat(pts, pts.size), np.tile(pts, pts.size)
+    return space.element_dofs(ex, ey), space.ref_basis(sx, sy, 0, 0)
 
 
 def _evaluate_1d(space, coeffs, x, deriv):
@@ -788,32 +801,39 @@ class BandMatrix:
         return band
 
     def tocsc(self) -> sp.csc_matrix:
-        """CSC copy on the plan's pattern, in free-DOF order."""
-        p = self.plan
-        return sp.csc_matrix((self.band.ravel()[p.gather], p.indices, p.indptr), shape=self.shape)
+        """CSC copy in free-DOF order on the free-free element connectivity of
+        the plan's coupled pairs ``local``, built on each call (scipy.sparse
+        loads on the first); a pair outside the band is a stored zero."""
+        import scipy.sparse as sp
+        p, nf, r = self.plan, self.plan.n_free, self.plan.rank.T
+        keep = (r[:, :, None] >= 0) & (r[:, None, :] >= 0) & p.local
+        i, j = (np.broadcast_to(x, keep.shape)[keep] for x in (r[:, :, None], r[:, None, :]))
+        key, first = np.unique(p.perm[j] * nf + p.perm[i], return_index=True)  # column-major
+        low, off, width = np.minimum(i, j)[first], np.abs(i - j)[first], p.bandwidth + 1
+        data = np.append(self.band, 0.0)[np.where(off < width, low * width + off, -1)]
+        indptr = np.searchsorted(key // nf, np.arange(nf + 1))
+        return sp.csc_matrix((data, key % nf, indptr), shape=self.shape)
 
 
 class ElementAssembly:
     """Assembly of free-DOF Hessians in element values that add up straight
     into band storage, and banded Cholesky factorization of them.
 
-    The pattern is the free-free element connectivity of ``tables``
-    restricted to DOF pairs that coupled rows reach, kept as CSC
-    (``indices``, ``indptr``).  Its order ``perm`` makes it a band of
-    half-width ``bandwidth``: the sweep along the element numbering, which
-    sorts the free DOFs by the first plus the last index of the elements
-    holding them, unless the reverse Cuthill-McKee order gives a narrower
-    band.  RCM narrows the profile, not the band, and banded Cholesky costs
-    about n bw^2: on a strip numbered along x1 RCM's level sets are whole
-    columns of nodes, and the sweep's band is 65 wide where RCM's is 107
-    (plate 48 x 8), while RCM stays narrower across a plate longer in x2 and
-    on the ribbon, whose xi2 block is decoupled.  ``gather`` holds the flat
-    band position of each CSC entry.
+    The band order ``perm`` comes from the mesh alone.  ``local`` (k, k)
+    marks the element DOF pairs that coupled rows reach; the DOFs it joins
+    form blocks, each a band of its own (the ribbon's xi2 meets no other
+    field), whose free DOFs are swept along the axis of the element
+    ``grid`` with more elements (x1 on a tie), by the first plus the last
+    place in the sweep of the elements holding them, ties in DOF order.
+    Banded Cholesky costs about n bw^2; reverse Cuthill-McKee, which
+    narrows the profile, gives the plate 48 x 8 a band of 107, the sweep
+    65.  ``rank`` (k, E) places each element DOF, -1 if constrained.
 
     An element matrix is kept as its values on the local DOF pairs a <= b
     that a Hessian reaches, ``element_pairs`` (2, pairs), and ``slot``
     (pairs * E, pair-major) sends them to their band positions, constrained
-    DOFs to a dropped bin.  The linear rows carry the same density at every
+    DOFs to a dropped bin; the half-width ``bandwidth`` is the widest of
+    these pairs.  The linear rows carry the same density at every
     point, so the element values of the forms QW and QR there, ``K`` (2,
     pairs), are computed once.  The rest of the density on the row pairs
     ``tables.pairs`` is z F for the inputs z of ``FieldSystem._hessian`` and
@@ -827,49 +847,25 @@ class ElementAssembly:
     products with the channel-major inputs plus cw K_W + cr K_R.
     """
 
-    def __init__(self, tables: ElementTables, free, QW, QR, forms: np.ndarray):
+    def __init__(self, tables: ElementTables, free, QW, QR, forms: np.ndarray, grid: tuple):
         dofs, rows = tables.dofs, tables.rows
-        nf, k = int(free.sum()), dofs.shape[1]
+        nf, (ne, k) = int(free.sum()), dofs.shape
         support = (rows != 0).astype(float)
         reach = (tables.coupling.astype(float) @ support).reshape(-1, k)
-        local = support.reshape(-1, k).T @ reach > 0
-        index = np.full(free.size, -1)
-        index[free] = np.arange(nf)
-        loc = index[dofs]
-        # entry (e, a, b) sits at row loc[e, a], column loc[e, b]; keys are column-major
-        keep = (loc[:, :, None] >= 0) & (loc[:, None, :] >= 0) & local
-        key = (loc[:, None, :] * nf + loc[:, :, None])[keep]
-        key.sort()
-        key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+        self.local = local = support.reshape(-1, k).T @ reach > 0
         self.free, self.n_free, self.tables = free, nf, tables
-        self.indices = (key % nf).astype(np.int32)
-        self.indptr = np.searchsorted(key // nf, np.arange(nf + 1)).astype(np.int32)
 
-        pattern = sp.csc_matrix((np.ones(key.size), self.indices, self.indptr), shape=(nf, nf))
-        rcm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
-        # the sweep: free DOFs by first + last index of the elements holding
-        # them, ties in DOF order
-        e = np.broadcast_to(np.arange(len(dofs))[:, None], dofs.shape)
-        first, last = np.full(free.size, len(dofs)), np.full(free.size, -1)
-        np.minimum.at(first, dofs, e)
-        np.maximum.at(last, dofs, e)
-        sweep = np.argsort((first + last)[free], kind="stable")
-        col = key // nf
-        del key, pattern  # pattern-sized; not held through the element tables below
-
-        def order(perm):
-            """(half-width of the pattern in the order perm, perm, rank of each DOF)"""
-            rank = np.full(nf + 1, -1)  # a constrained DOF (loc -1) ranks -1
-            rank[perm] = np.arange(nf)
-            return int(np.abs(rank[self.indices] - rank[col]).max(initial=0)), perm, rank
-
-        # the sweep unless RCM's band is narrower (min keeps the first of equals)
-        self.bandwidth, self.perm, rank = min(order(sweep), order(rcm), key=lambda o: o[0])
-        row, col = rank[self.indices], rank[col]
-        width = self.bandwidth + 1
-        self.size = nf * width
-        self.gather = np.minimum(row, col) * width + np.abs(row - col)
-        del row, col
+        sweep = np.arange(ne).reshape(grid).transpose(np.argsort(np.negative(grid), kind="stable"))
+        joined = np.linalg.matrix_power(local.astype(float), k) > 0  # the coupled blocks
+        # each element DOF's block (named by its first DOF), then its element's place in the sweep
+        at = joined.argmax(axis=0) * ne + np.argsort(sweep.ravel())[:, None]
+        first, last = np.full(free.size, k * ne), np.full(free.size, -1)
+        np.minimum.at(first, dofs, at)
+        np.maximum.at(last, dofs, at)
+        self.perm = np.argsort((first + last)[free], kind="stable")
+        rank = np.full(free.size, -1, dtype=np.int32)
+        rank[np.flatnonzero(free)[self.perm]] = np.arange(nf, dtype=np.int32)
+        self.rank = rank[dofs.T]
 
         # a density d on rows (i, j) adds d (rows_i[a] rows_j[b] + rows_j[a] rows_i[b])
         # to the element pair (a, b), the second term only when i != j; the
@@ -896,9 +892,19 @@ class ElementAssembly:
         sel = np.concatenate([np.flatnonzero(to_a), np.flatnonzero(to_b), np.flatnonzero(only_k)])
         self.n_slope, self.n_quadratic, self.K = int(to_a.sum()), int(to_b.sum()), K[:, sel]
         self.element_pairs = np.stack([a[sel], b[sel]])
-        ra, rb = (rank[loc[:, p]].T for p in self.element_pairs)
+        del T, hit
+        # the element pairs' band positions from int32 (pairs, E) temporaries
+        ra, rb = self.rank[a[sel]], self.rank[b[sel]]
         ok = (ra >= 0) & (rb >= 0) & local[a[sel], b[sel]][:, None]
-        self.slot = np.where(ok, np.minimum(ra, rb) * width + np.abs(ra - rb), self.size).ravel()
+        low, off = np.minimum(ra, rb), np.abs(np.subtract(ra, rb, out=ra), out=ra)
+        del ra, rb
+        self.bandwidth = int(off.max(initial=0, where=ok))
+        self.size = nf * (self.bandwidth + 1)
+        low *= self.bandwidth + 1
+        low += off
+        del off
+        self.slot = np.full(ok.size, self.size, dtype=np.intp)
+        np.copyto(self.slot, low.ravel(), where=ok.ravel())
 
     def constant_block(self, Q: np.ndarray) -> np.ndarray:
         """Element values on the pairs a <= b of the channel form Q on the
@@ -961,6 +967,7 @@ class ElementAssembly:
 
     def embed(self, K: sp.csc_matrix) -> sp.csc_matrix:
         """Full-size copy of a free-DOF matrix; constrained rows and columns are zero."""
+        import scipy.sparse as sp
         n = self.free.size
         indptr = np.zeros(n + 1, dtype=np.int64)
         indptr[1:][self.free] = np.diff(K.indptr)
@@ -1037,13 +1044,16 @@ class FieldSystem:
     def _force(self) -> np.ndarray:
         """Load vector of ``_loads`` (field, its space, load polynomial in
         x1); its dot product with u is the work of the dead loads.  Only a
-        nonzero polynomial is evaluated."""
-        f = np.zeros(self.n_dofs)
-        value = (0,) * (2 if isinstance(self.quad, Quadrature2D) else 1)
+        nonzero polynomial is evaluated, by one bincount over the DOFs at
+        the quadrature points in point order: bitwise B^T (wq f) for the
+        value sampling matrix B of its space."""
+        f, q = np.zeros(self.n_dofs), self.quad
         for name, space, load in self._loads:
             if np.any(load.coef):
-                B = space.sample_matrix(self.quad, *value)
-                f[self.slices[name]] = B.T @ (self.wq * self.quad.of_x1(load))
+                dofs, basis = _element_values(space, q)
+                at = q.by_point(np.broadcast_to(dofs[:, None], (len(dofs),) + basis.shape))
+                local = q.by_point(q.by_element(self.wq * q.of_x1(load))[..., None] * basis)
+                f[self.slices[name]] = np.bincount(at.ravel(), local.ravel(), space.n_dofs)
         return f
 
     @cached_property
@@ -1110,8 +1120,9 @@ class FieldSystem:
     def _hessian(self, g: np.ndarray, sig: np.ndarray, cw: float, cr: float) -> BandMatrix:
         """Free-DOF Hessian at slopes g with stress sig, in band storage."""
         if self._plan is None:
+            grid = (m.nx, m.ny) if isinstance(m := self.mesh, Mesh2D) else (m.n,)
             self._plan = ElementAssembly(
-                self._tables, self.free, self.QW, self.QR, self._slope_forms()
+                self._tables, self.free, self.QW, self.QR, self._slope_forms(), grid
             )
         pairs, nm = self._products_of_slopes, len(self._D2)
         z = np.empty((len(pairs) + nm, g.shape[1]))
@@ -1260,8 +1271,7 @@ class IncrementalProblem:
         return self.system._gradient(g, sig, 1.0)
 
     def hessian(self, v: np.ndarray) -> BandMatrix:
-        """Free-DOF Hessian of Phi at v in the plan's band storage; its
-        ``tocsc()`` is the CSC matrix on the plan's fixed pattern."""
+        """Free-DOF Hessian of Phi at v in the plan's band storage."""
         g, sig, _ = self._at(v)
         return self.system._hessian(g, sig, 1.0, self.cr)
 
@@ -1279,4 +1289,5 @@ class IncrementalProblem:
 def triple_product(Ba: sp.csr_matrix, diag: np.ndarray, Bb: sp.csr_matrix) -> sp.csr_matrix:
     """Ba^T diag(d) Bb as CSR.  Nothing in the package calls it; it stays
     as a trace site of the benchmark's per-layer view."""
+    import scipy.sparse as sp
     return (Ba.T @ sp.diags(diag) @ Bb).tocsr()

@@ -51,10 +51,17 @@ systems both do.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from importlib import import_module
 from typing import Callable, Protocol
 
 import numpy as np
-import scipy.sparse.linalg as spla  # noqa: F401  (perfbench/layers.py traces it under this module)
+
+
+def __getattr__(name: str):
+    # spla, scipy.sparse.linalg, loads on first read; perfbench/layers.py traces its splu
+    if name != "spla":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return import_module("scipy.sparse.linalg")
 
 
 class GradientSystem(Protocol):

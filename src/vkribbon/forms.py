@@ -197,29 +197,11 @@ def h2_family_matrix(q1_R: QuadForm1, eps: float) -> np.ndarray:
     return C
 
 
-_CLASSIFY_GRID = np.array([-1.0, -0.35, 0.4, 1.0])
-
-
 def _argmins_vanish(q1: QuadForm1, q2: QuadForm2 | None = None) -> bool:
     """The couplings behind z* of q1, and behind alpha* of q2 when q2 is
     given, vanish relative to the largest entry of q2, else of q1."""
     ref, coupling = (q1, [q1.C[0, 1]]) if q2 is None else (q2, [q1.C[0, 1], *q2.C[:2, 2]])
     return bool(np.abs(coupling).max() <= 1e-13 * np.abs(ref.C).max())
-
-
-def _family_limit_holds(pair: "MaterialPair") -> bool:
-    """Check lim_{eps->0} Q2_{R,eps}(q11,q12,alpha) = Q1_R(q11,q12) on a grid."""
-    g = _CLASSIFY_GRID
-    q11, q12, alpha = np.meshgrid(g, g, g, indexing="ij")
-    target = pair.R1(q11, q12)
-    scale = 1.0 + np.abs(target).max()
-    defects = []
-    for eps in (1e-1, 1e-2, 1e-3, 1e-4):
-        C = pair.viscous_matrix(eps)
-        q = np.stack([q11, q12, alpha], axis=-1)
-        val = np.einsum("...i,ij,...j->...", q, C, q)
-        defects.append(np.abs(val - target).max())
-    return defects[-1] <= 1e-3 * scale and defects[-1] <= 1e-2 * max(defects[0], 1e-30)
 
 
 @dataclass
@@ -274,12 +256,12 @@ def classify_hypothesis(pair: MaterialPair) -> str:
     """Compatibility tag of the pair: "H1", "H2", or "none".
 
     H1: both argmin maps (alpha* and z*) vanish identically for W and R.
-    H2: z* vanishes for Q1_W and Q1_R and the configured eps-family of the
-    viscous form collapses onto Q1_R in the limit (verified on a sample
-    grid).  Everything else is "none".
+    H2: z* vanishes for Q1_W and Q1_R and the viscous form is the eps-family
+    ``h2_family_matrix``, which collapses onto Q1_R in the limit by
+    construction.  Everything else is "none".
     """
     if _argmins_vanish(pair.W1, pair.W) and _argmins_vanish(pair.R1, pair.R):
         return "H1"
-    if _argmins_vanish(pair.W1) and _argmins_vanish(pair.R1) and _family_limit_holds(pair):
+    if _argmins_vanish(pair.W1) and _argmins_vanish(pair.R1) and pair.h2_family:
         return "H2"
     return "none"

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from vkribbon.fem import BFSSpace, FemError, GaussRule, Mesh2D, Q1Space
+from vkribbon.fem import BFSSpace, FemError, GaussRule, Mesh2D, Q1Space, Quadrature2D
 from vkribbon.ribbon import BEND_FACTOR, RibbonState
 
 
@@ -215,3 +215,34 @@ def reached_pairs(system) -> set:
     a, b = np.triu_indices(system._tables.dofs.shape[1])
     hit = np.any(T != 0.0, axis=0) | (KW != 0.0) | (KR != 0.0)
     return set(zip(a[hit].tolist(), b[hit].tolist()))
+
+
+def sampled_force(system) -> np.ndarray:
+    """The load vector as the sampling matrices build it: B^T (wq f) for each
+    nonzero load f and the value matrix B of its field's space."""
+    f = np.zeros(system.n_dofs)
+    value = (0,) * (2 if isinstance(system.quad, Quadrature2D) else 1)
+    for name, space, load in system._loads:
+        if np.any(load.coef):
+            B = space.sample_matrix(system.quad, *value)
+            f[system.slices[name]] = B.T @ (system.wq * system.quad.of_x1(load))
+    return f
+
+
+FAMILY_GRID = np.array([-1.0, -0.35, 0.4, 1.0])
+
+
+def family_limit_holds(pair) -> bool:
+    """Check lim_{eps->0} Q2_{R,eps}(q11,q12,alpha) = Q1_R(q11,q12) on a grid:
+    the viscous forms of decreasing widths against the reduced form."""
+    g = FAMILY_GRID
+    q11, q12, alpha = np.meshgrid(g, g, g, indexing="ij")
+    target = pair.R1(q11, q12)
+    scale = 1.0 + np.abs(target).max()
+    defects = []
+    for eps in (1e-1, 1e-2, 1e-3, 1e-4):
+        C = pair.viscous_matrix(eps)
+        q = np.stack([q11, q12, alpha], axis=-1)
+        val = np.einsum("...i,ij,...j->...", q, C, q)
+        defects.append(np.abs(val - target).max())
+    return defects[-1] <= 1e-3 * scale and defects[-1] <= 1e-2 * max(defects[0], 1e-30)

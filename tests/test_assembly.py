@@ -47,7 +47,7 @@ def ribbon_system():
 SYSTEMS = {
     "plate eps=0.3": lambda: plate_system(0.3),
     "plate eps=0.05": lambda: plate_system(0.05),
-    # longer across than along: the plan keeps RCM's narrower band
+    # longer across than along: the plan sweeps along x2
     "plate 4x12": lambda: plate_system(0.3, nx=4, ny=12),
     "ribbon": ribbon_system,
 }
@@ -114,8 +114,9 @@ class TestIncrementalHessian:
         ref = spla.spsolve((Hc + shift * sp.diags(np.abs(Hc.diagonal()))).tocsc(), b)
         x = problem.factor(H, shift)(b)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
-        # the plan's order (the sweep along the strip, or RCM where that is
-        # narrower) makes the pattern a band narrower than the matrix
+        # the plan's order (the sweep along the longer axis of the mesh, one
+        # coupled block after another) makes the pattern a band narrower
+        # than the matrix
         assert s._plan.bandwidth < H.shape[0] // 2
 
 
@@ -274,37 +275,43 @@ def test_rows_match_sampling_matrices(name):
 
 
 def test_diagnostics_build_no_sampling_matrix(monkeypatch):
-    calls = []
+    sampled, calls = [], []
     for space in (P1Space, Hermite3Space, Q1Space, BFSSpace):
         original = space.sample_matrix
 
         def counted(self, *args, _original=original):
-            calls.append(type(self).__name__)
+            sampled.append(type(self).__name__)
             return _original(self, *args)
 
         monkeypatch.setattr(space, "sample_matrix", counted)
+    element_values = fem._element_values
+    monkeypatch.setattr(
+        fem,
+        "_element_values",
+        lambda space, quad: calls.append(type(space).__name__) or element_values(space, quad),
+    )
     r = ribbon_system()
     p = plate_system(0.05)
     rng = np.random.default_rng(67)
     v, v2, u = random_state(r, rng, 0.05), random_state(r, rng, 0.05), random_state(p, rng, 0.05)
-    # the loads: one value matrix per nonzero density (f, g1, g2), built
-    # once with the load vector and not kept
+    # the loads: one table of basis values per nonzero density (f, g1, g2),
+    # built once with the load vector and not kept; no sampling matrix
     r.energy(v), p.energy(u)
     expect = ["Hermite3Space", "P1Space", "Hermite3Space", "BFSSpace", "Q1Space", "Q1Space"]
-    assert calls == expect
+    assert calls == expect and sampled == []
     r.energy(v), p.energy(u)
-    assert calls == expect
+    assert calls == expect and sampled == []
     assert not any(sp.issparse(x) for x in [*vars(r).values(), *vars(p).values()])
     calls.clear()
     only_f = RibbonSystem(Mesh1D(l=1.0, n=12), r.material, BC, RibbonForces.from_coeffs(f=(1.0,)))
     only_f.energy(v)
-    assert calls == ["Hermite3Space"]
+    assert calls == ["Hermite3Space"] and sampled == []
     calls.clear()
     R = p.rows(u)
     p.quad.x2_average(R[:, 4]), p.quad.x2_average(R[:, 6])
     p.d0_projected(u, r, v), studies._projection_diag(p, u)
     r.slope_solution(v), sobolev_gap(r, v, v2)
-    assert calls == []
+    assert calls == [] and sampled == []
 
 
 def shifted_diagonal(H, sigma):
@@ -483,9 +490,9 @@ def test_ribbon_pattern_is_coupled_element_connectivity():
 
 def test_no_plan_without_a_hessian(monkeypatch):
     orderings, constants = [], []
-    rcm = fem.reverse_cuthill_mckee
+    plan = fem.ElementAssembly.__init__
     monkeypatch.setattr(
-        fem, "reverse_cuthill_mckee", lambda *a, **k: orderings.append(1) or rcm(*a, **k)
+        fem.ElementAssembly, "__init__", lambda self, *a: orderings.append(1) or plan(self, *a)
     )
     constant_block = fem.ElementAssembly.constant_block
     monkeypatch.setattr(
@@ -539,14 +546,16 @@ def rcm_bandwidth(H):
 
 H1 = MaterialPair.isotropic(1.0, 0.0, 1.0, 0.0)
 BANDS = {
-    # long plates: the sweep along the strip, where RCM gives 107 and 59
+    # long plates: the sweep along x1, where RCM gives 107 and 59
     "plate 48x8": (lambda: PlateSystem(Mesh2D(l=1.0, nx=48, ny=8), 0.05, H1), 65),
     "plate 24x4": (lambda: PlateSystem(Mesh2D(l=1.0, nx=24, ny=4), 0.05, H1), 41),
-    # RCM, narrower on a plate longer across than along (the sweep gives
-    # 113) and on the ribbon, whose xi2 block meets no other field (10)
-    "plate 8x16": (lambda: PlateSystem(Mesh2D(l=1.0, nx=8, ny=16), 0.05, H1), 89),
-    "ribbon n=12": (lambda: RibbonSystem(Mesh1D(l=1.0, n=12), H1), 7),
-    "ribbon n=64": (lambda: RibbonSystem(Mesh1D(l=1.0, n=64), H1), 7),
+    # a plate longer across than along: the sweep along x2 (RCM gives 89,
+    # a sweep along x1 113)
+    "plate 8x16": (lambda: PlateSystem(Mesh2D(l=1.0, nx=8, ny=16), 0.05, H1), 71),
+    # the ribbon, whose xi2 block meets no other field: one block after the
+    # other (RCM gives 7, one sweep over both blocks 10)
+    "ribbon n=12": (lambda: RibbonSystem(Mesh1D(l=1.0, n=12), H1), 6),
+    "ribbon n=64": (lambda: RibbonSystem(Mesh1D(l=1.0, n=64), H1), 6),
 }
 
 

@@ -122,6 +122,22 @@ class TestQuadrature:
         # int x^2 over (-1/2,1/2) = 1/12 each direction
         assert np.dot(quad.weights, vals) == pytest.approx(1.0 / 144.0, rel=1e-13)
 
+    @pytest.mark.parametrize("order", [1, 3, 5, 9])
+    def test_rule_is_computed_once_per_order_and_read_only(self, mesh, order):
+        a, b = GaussRule(order), GaussRule(order)
+        assert a.points is b.points and a.weights is b.weights
+        for values in (a.points, a.weights):
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+        # the values are those of a fresh leggauss call, bit for bit
+        pts, wts = np.polynomial.legendre.leggauss(order)
+        pts, wts = 0.5 * (pts + 1.0), 0.5 * wts
+        assert np.array_equal(a.points, pts) and np.array_equal(a.weights, wts)
+        quad = Quadrature1D(mesh, a)
+        assert np.array_equal(quad.weights, np.tile(wts * mesh.h, mesh.n))
+        expect = mesh.nodes[np.repeat(np.arange(mesh.n), order)] + np.tile(pts, mesh.n) * mesh.h
+        assert np.array_equal(quad.points, expect)
+
     def test_quartic_gradient_exact(self, mesh):
         # |w'|^4 of a Hermite cubic is degree 8; the default rule must be exact
         space = Hermite3Space(mesh)

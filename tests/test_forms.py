@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from oracles import family_limit_holds
+
 from vkribbon.forms import (
     MaterialError,
     MaterialPair,
     QuadForm2,
+    _argmins_vanish,
     classify_hypothesis,
     dQ1,
     extended_form,
@@ -173,6 +176,36 @@ class TestHypotheses:
             MaterialPair.isotropic(1, 1, 1, 1),
         ):
             assert classify_hypothesis(pair) == pair.hypothesis
+
+    def test_family_flag_equals_the_limit_check(self):
+        """The H2 branch reads ``h2_family``; for SPD forms the limit check it
+        replaced agrees with the flag on every pair, so no tag moves."""
+        rng = np.random.default_rng(20)
+        seen = set()
+        for n in range(300):
+            forms = []
+            for label in "WR":
+                C = np.diag(rng.uniform(0.5, 3.0, 3))
+                off = rng.uniform(-0.3, 0.3, 3)
+                # every third pair has no z* coupling, every other one of
+                # those no alpha* coupling either: H2 and H1 candidates,
+                # with and without the flag
+                off[[0, 2]] *= n % 3 != 0
+                off[1] *= n % 6 != 0
+                C[0, 1] = C[1, 0] = off[0]
+                C[0, 2] = C[2, 0] = off[1]
+                C[1, 2] = C[2, 1] = off[2]
+                forms.append(QuadForm2(10.0 ** rng.uniform(-2, 2) * C, label))
+            pair = MaterialPair(*forms, h2_family=n % 4 >= 2)
+            assert family_limit_holds(pair) == pair.h2_family
+            old = "none"
+            if _argmins_vanish(pair.W1, pair.W) and _argmins_vanish(pair.R1, pair.R):
+                old = "H1"
+            elif _argmins_vanish(pair.W1) and _argmins_vanish(pair.R1) and family_limit_holds(pair):
+                old = "H2"
+            assert classify_hypothesis(pair) == pair.hypothesis == old
+            seen.add(old)
+        assert seen == {"H1", "H2", "none"}
 
     def test_h1_argmins_vanish_exactly(self):
         pair = MaterialPair.isotropic(2.0, 0.0, 0.5, 0.0)

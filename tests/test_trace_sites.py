@@ -2,8 +2,8 @@
 
 ``perfbench/layers.py`` wraps functions where callers resolve them and
 methods on their classes, and scipy's ``splu`` through ``flow.spla``, a
-module reference that flow keeps only for that (the stepper's one solve
-path is the banded Cholesky).  A renamed or removed name would make
+module reference that flow loads on its first read only for that (the
+stepper's one solve path is the banded Cholesky).  A renamed or removed name would make
 ``perfbench/run.py --trace 1`` fail only when someone runs it.
 """
 
