@@ -7,7 +7,8 @@ commute-study, gamma-check, slope-check, decouple-check, report.
 
 Every subcommand but ``report`` writes ``manifest.txt`` with its planned
 outputs before it runs, then the outputs, then prints one summary line
-unless ``--quiet``; ``report`` summarises such a run directory.
+unless ``--quiet``; ``report`` summarises such a run directory, given by
+``--out``, in place of the scenario, or as the scenario's output directory.
 
 Exit codes: 0 success; 64 usage error; 65 scenario errors;
 3 hypothesis requirement violated; 2 solver failure (message carries the
@@ -165,7 +166,9 @@ def main(argv=None) -> int:
         return 64
 
     parser = argparse.ArgumentParser(prog=f"vkribbon {sub}")
-    parser.add_argument("scenario", help="path to the scenario configuration file")
+    parser.add_argument(
+        "scenario", help="path to the scenario configuration file (report: or a run directory)"
+    )
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--quiet", action="store_true")
     try:
@@ -176,8 +179,15 @@ def main(argv=None) -> int:
 
     # a run directory is reported from its manifest alone; the scenario
     # only supplies the default output directory
-    if sub == "report" and args.out is not None:
-        return report(args.out)
+    if sub == "report":
+        if args.out is None and os.path.isdir(args.scenario):
+            args.out = args.scenario
+        if args.out is not None:
+            return report(args.out)
+        if not os.path.exists(args.scenario):
+            print(f"report: no run directory or scenario at {args.scenario}", file=sys.stderr)
+            print(parser.format_usage(), end="", file=sys.stderr)
+            return 64
     try:
         scenario = load_scenario(args.scenario)
     except FileNotFoundError:

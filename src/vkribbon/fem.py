@@ -33,8 +33,10 @@ then one product with the slopes and one with their products and the
 membrane stress, and one bincount adds its element values up into LAPACK
 band storage, which the plan factors in place by banded Cholesky
 (unscaled or with its diagonal raised by a multiple of |diag H|) into a
-solver that outlives it.  A load vector is one bincount, too.  Only the
-names that return sparse matrices load scipy.sparse, on their first call.
+solver that outlives it.  A load vector is one bincount, too.  The scalar
+evaluations, energy and sqdist, write every array they need into the one
+workspace of their mesh.  Only the names that return sparse matrices load
+scipy.sparse, on their first call.
 """
 
 from __future__ import annotations
@@ -59,8 +61,24 @@ class FemError(ValueError):
 # meshes
 
 
+class _Workspace:
+    """A mesh's scratch block: one float64 array that every system on the
+    mesh carves for its scalar evaluations (``FieldSystem.energy`` and
+    ``sqdist``).  It grows to the largest request and never shrinks; what
+    an evaluation writes there is dead when the evaluation returns, so no
+    result and no record may be a view of it, and the systems of one mesh
+    must not evaluate from two threads at once."""
+
+    def workspace(self, n: int) -> np.ndarray:
+        """The first n entries of the block, grown to n if it is smaller."""
+        block = self.__dict__.get("_workspace")
+        if block is None or block.size < n:
+            block = self.__dict__["_workspace"] = np.empty(n)
+        return block[:n]
+
+
 @dataclass(frozen=True)
-class Mesh1D:
+class Mesh1D(_Workspace):
     """Uniform mesh of the interval I = (-l/2, l/2) with n >= 2 elements."""
 
     l: float = 1.0
@@ -88,14 +106,17 @@ class Mesh1D:
 
 
 @dataclass(frozen=True)
-class Mesh2D:
+class Mesh2D(_Workspace):
     """Tensor-product mesh of S = I x (-1/2, 1/2), nx x ny rectangles.
 
     A mesh owns the tables that do not depend on the width eps: its node
     arrays, its default quadrature, the element DOFs of the packed plate
-    state and the Q1 and BFS reference bases at one element's quadrature
-    points.  Each is built on its first read and kept read-only, so every
-    plate on this mesh object shares it; equal meshes share nothing.
+    state and its Dirichlet data per BoundaryData.  Each is built on its
+    first read and kept read-only, so every plate on this mesh object
+    shares it, as it shares the mesh's workspace.  The Q1 and BFS
+    reference bases at one element's quadrature points depend only on
+    the element size and the rule: every mesh of that spacing shares one
+    read-only pair.
     """
 
     l: float = 1.0
@@ -154,18 +175,24 @@ class Mesh2D:
         q1, bfs = Q1Space(self).element_dofs(ex, ey), BFSSpace(self).element_dofs(ex, ey)
         return _read_only(np.hstack([q1, q1 + self.n_nodes, bfs + 2 * self.n_nodes]))
 
-    @cached_property
+    @property
     def reference_bases(self) -> tuple[np.ndarray, np.ndarray]:
         """The Q1 basis derivatives of orders ``FIRST`` (2, nq, 4) and the BFS
         basis derivatives of orders ``FIRST + SECOND`` (5, nq, 16) at the
         points kx * p + ky of the default quadrature on one element."""
-        pts = self.quadrature.rule.points
-        sx, sy = np.repeat(pts, pts.size), np.tile(pts, pts.size)
-        q1, bfs = Q1Space(self), BFSSpace(self)
-        return (
-            _read_only(np.stack([q1.ref_basis(sx, sy, dx, dy) for dx, dy in FIRST])),
-            _read_only(np.stack([bfs.ref_basis(sx, sy, dx, dy) for dx, dy in FIRST + SECOND])),
-        )
+        return _reference_bases(self.hx, self.hy, self.quadrature.rule.order)
+
+    def dirichlet(self, bc: "BoundaryData") -> tuple[np.ndarray, np.ndarray]:
+        """``dirichlet_2d(self, bc)``, read-only and built once per boundary
+        data: a later bc equal to a kept one gets its arrays (BoundaryData
+        holds polynomials, so it is matched by ==, not hashed)."""
+        kept = self.__dict__.setdefault("_dirichlet", [])
+        for known, data in kept:
+            if known == bc:
+                return data
+        data = tuple(_read_only(a) for a in dirichlet_2d(self, bc))
+        kept.append((bc, data))
+        return data
 
 
 # the (d1, d2) derivative orders of a gradient and of a Hessian
@@ -210,6 +237,16 @@ class GaussRule:
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     pts, wts = np.polynomial.legendre.leggauss(order)
     return _read_only(0.5 * (pts + 1.0)), _read_only(0.5 * wts)
+
+
+@cache  # one read-only pair per element size and order, shared by every such mesh
+def _reference_bases(hx: float, hy: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    pts = _gauss_legendre(order)[0]
+    sx, sy = np.repeat(pts, pts.size), np.tile(pts, pts.size)
+    return (
+        _read_only(np.stack([_q1_ref(sx, sy, dx, dy, hx, hy) for dx, dy in FIRST])),
+        _read_only(np.stack([_bfs_ref(sx, sy, dx, dy, hx, hy) for dx, dy in FIRST + SECOND])),
+    )
 
 
 class Quadrature1D:
@@ -496,7 +533,37 @@ def _evaluate_1d(space, coeffs, x, deriv):
 
 
 # ---------------------------------------------------------------------------
-# 2D spaces
+# 2D reference bases and spaces
+
+
+def _q1_ref(sx, sy, dx: int, dy: int, hx: float, hy: float) -> np.ndarray:
+    """Bilinear shape functions, tensor products of the P1 ones."""
+    bx = _p1_ref(sx, dx, hx)
+    by = _p1_ref(sy, dy, hy)
+    # tensor order must match element_dofs: (00, 10, 01, 11)
+    return np.stack(
+        [
+            bx[..., 0] * by[..., 0],
+            bx[..., 1] * by[..., 0],
+            bx[..., 0] * by[..., 1],
+            bx[..., 1] * by[..., 1],
+        ],
+        axis=-1,
+    )
+
+
+def _bfs_ref(sx, sy, dx: int, dy: int, hx: float, hy: float) -> np.ndarray:
+    """Bogner-Fox-Schmit shape functions, tensor products of the Hermite cubics."""
+    bx = _hermite_ref(sx, dx, hx)
+    by = _hermite_ref(sy, dy, hy)
+    # per node (ix, iy): value/slope combinations map onto DOFs
+    # (w, wx, wy, wxy) = (Hv*Hv, Hs*Hv, Hv*Hs, Hs*Hs)
+    out = []
+    for (ix, iy) in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        vx, sx_ = bx[..., 2 * ix], bx[..., 2 * ix + 1]
+        vy, sy_ = by[..., 2 * iy], by[..., 2 * iy + 1]
+        out.extend([vx * vy, sx_ * vy, vx * sy_, sx_ * sy_])
+    return np.stack(out, axis=-1)
 
 
 class Q1Space:
@@ -515,18 +582,7 @@ class Q1Space:
         return np.stack([n00, n10, n01, n11], axis=-1)
 
     def ref_basis(self, sx, sy, dx, dy):
-        bx = _p1_ref(sx, dx, self.mesh.hx)
-        by = _p1_ref(sy, dy, self.mesh.hy)
-        # tensor order must match element_dofs: (00, 10, 01, 11)
-        return np.stack(
-            [
-                bx[..., 0] * by[..., 0],
-                bx[..., 1] * by[..., 0],
-                bx[..., 0] * by[..., 1],
-                bx[..., 1] * by[..., 1],
-            ],
-            axis=-1,
-        )
+        return _q1_ref(sx, sy, dx, dy, self.mesh.hx, self.mesh.hy)
 
     def interpolate(self, f) -> np.ndarray:
         x, y = self.mesh.node_coords
@@ -555,16 +611,7 @@ class BFSSpace:
         return (4 * nodes[..., None] + np.arange(4)).reshape(nodes.shape[:-1] + (16,))
 
     def ref_basis(self, sx, sy, dx, dy):
-        bx = _hermite_ref(sx, dx, self.mesh.hx)
-        by = _hermite_ref(sy, dy, self.mesh.hy)
-        # per node (ix, iy): value/slope combinations map onto DOFs
-        # (w, wx, wy, wxy) = (Hv*Hv, Hs*Hv, Hv*Hs, Hs*Hs)
-        out = []
-        for (ix, iy) in ((0, 0), (1, 0), (0, 1), (1, 1)):
-            vx, sx_ = bx[..., 2 * ix], bx[..., 2 * ix + 1]
-            vy, sy_ = by[..., 2 * iy], by[..., 2 * iy + 1]
-            out.extend([vx * vy, sx_ * vy, vx * sy_, sx_ * sy_])
-        return np.stack(out, axis=-1)
+        return _bfs_ref(sx, sy, dx, dy, self.mesh.hx, self.mesh.hy)
 
     def interpolate(self, f, fx, fy, fxy) -> np.ndarray:
         x, y = self.mesh.node_coords
@@ -758,11 +805,17 @@ class ElementTables:
         """Every row at every point, (r, nq * E), from one gather and one product."""
         return (self.all_e @ u[self.dofs].T).reshape(self.rows.shape[1], -1)
 
-    def split_evaluate(self, u: np.ndarray):
+    def split_evaluate(self, u: np.ndarray, out=None, gather=None):
         """The linear rows (n, nq * E) and the slope rows (ng, nq * E), views
-        of one product with one gather: the mirror of split_scatter."""
-        out = (self.split_e @ u[self.dofs].T).reshape(len(self.linear) + len(self.slope), -1)
-        return out[: len(self.linear)], out[len(self.linear):]
+        of one product with one gather: the mirror of split_scatter.  The
+        product goes to ``out`` (r * nq, E) and the gather to ``gather``
+        (E, k) when they are given, scratch of the caller."""
+        if gather is None:
+            G = u[self.dofs]
+        else:  # take copies a read-only index table; "clip" spares it a buffer for out
+            G = np.take(u, self.dofs, out=gather, mode="clip")
+        X = np.matmul(self.split_e, G.T, out=out).reshape(len(self.linear) + len(self.slope), -1)
+        return X[: len(self.linear)], X[len(self.linear):]
 
     def split_scatter(self, lin: np.ndarray, slope: np.ndarray) -> np.ndarray:
         """The DOF vector of sum_e sum_q w_q (lin . rows_q[linear] + slope .
@@ -1073,16 +1126,40 @@ class FieldSystem:
         """Channel-major values X (n, nq * E) in point order, (n_points, n)."""
         return self.quad.by_point(X.reshape(len(X), len(self._tables.weights), -1).T)
 
-    def _channels(self, u: np.ndarray):
-        """Strain s (ns, nq * E) and slopes g (ng, nq * E), channel-major."""
-        s, g = self._tables.split_evaluate(u)
+    def _channels(self, u: np.ndarray, scratch=None):
+        """Strain s (ns, nq * E) and slopes g (ng, nq * E), channel-major.
+        With ``scratch`` (X, spare) of ``_scratch``, the channels are views
+        of X, and spare holds the gather and the membrane products."""
+        t = self._tables
+        if scratch is None:
+            s, g = t.split_evaluate(u)
+            half = np.empty(g.shape[1])
+        else:
+            X, spare = scratch
+            s, g = t.split_evaluate(u, X, spare[: t.dofs.size].reshape(t.dofs.shape))
+            half = spare[: g.shape[1]]
         for k, (a, b) in enumerate(self.MEMBRANE_SLOPES):
-            s[k] += 0.5 * g[a] * g[b]
+            np.multiply(0.5, g[a], out=half)
+            half *= g[b]
+            s[k] += half
         return s, g
 
-    def _integral(self, P: np.ndarray, s: np.ndarray) -> float:
-        """int P . s for channels s (ns, nq * E) and their product P with a form."""
-        return float(np.einsum("cp,cp->p", P, s) @ self._tables.point_weights)
+    def _scratch(self, separate: bool):
+        """Views of the mesh's workspace for one scalar evaluation: the
+        product block X (r * nq, E) of ``_channels``, the channel rows S
+        (ns, nq * E) and the spare entries for its gather and membrane
+        products, which overlap S unless ``separate``."""
+        t = self._tables
+        e, n = len(t.dofs), len(t.point_weights)
+        x, rows, spare = len(t.split_e) * e, len(t.linear) * n, max(t.dofs.size, n)
+        start = x + rows if separate else x  # of the spare entries
+        block = self.mesh.workspace(max(x + rows, start + spare))
+        return block[:x].reshape(-1, e), block[x: x + rows].reshape(-1, n), block[start:]
+
+    def _integral(self, P: np.ndarray, s: np.ndarray, out=None) -> float:
+        """int P . s for channels s (ns, nq * E) and their product P with a
+        form; the per-point density goes to ``out`` when it is given."""
+        return float(np.einsum("cp,cp->p", P, s, out=out) @ self._tables.point_weights)
 
     def _products(self, s: np.ndarray, s_a: np.ndarray):
         """d = s - s_a for channels s and s_a, and the products QW s and QR d."""
@@ -1164,12 +1241,23 @@ class FieldSystem:
         return self._slope_solve(self._channels(u))[0]
 
     def energy(self, u: np.ndarray) -> float:
-        s = self._channels(u)[0]
-        return 0.5 * self._integral(self.QW @ s, s) - float(np.dot(self._force, u))
+        """phi(u), evaluated in the mesh's workspace: the gather and the
+        membrane products go where QW s goes next, the density on a slope
+        row."""
+        X, S, spare = self._scratch(separate=False)
+        s, g = self._channels(u, (X, spare))
+        PW = np.matmul(self.QW, s, out=S)
+        return 0.5 * self._integral(PW, s, out=g[0]) - float(np.dot(self._force, u))
 
     def sqdist(self, ua: np.ndarray, ub: np.ndarray) -> float:
-        d = self._channels(ua)[0] - self._channels(ub)[0]
-        return self._integral(self.QR @ d, d)
+        """D^2(ua, ub), evaluated in the mesh's workspace: ua's channels are
+        kept in S while ub's are made, then d = s_a - s_b replaces them and
+        QR d takes s_b's place, the density a slope row's."""
+        X, d, spare = self._scratch(separate=True)
+        d[...] = self._channels(ua, (X, spare))[0]
+        s, g = self._channels(ub, (X, spare))
+        np.subtract(d, s, out=d)
+        return self._integral(np.matmul(self.QR, d, out=s), d, out=g[0])
 
     def grad_energy(self, u: np.ndarray) -> np.ndarray:
         s, g = self._channels(u)

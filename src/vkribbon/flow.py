@@ -68,8 +68,7 @@ class GradientSystem(Protocol):
     """Minimal interface consumed by the stepper and the trajectory driver.
 
     DOF vectors are flat; ``free`` masks the unconstrained entries
-    (Dirichlet DOFs stay untouched).  ``energy`` is phi, read once per
-    trajectory.  ``incremental(anchor, tau)`` is the functional
+    (Dirichlet DOFs stay untouched).  ``incremental(anchor, tau)`` is the functional
     Phi(v) = phi(v) + D^2(anchor, v) / (2 tau) of one step, with methods
     ``parts(v)`` -> (phi(v), D^2(anchor, v)), ``value(v)`` -> Phi(v),
     ``grad(v)``, the full-size DOF gradient with zero constrained entries,
@@ -88,8 +87,6 @@ class GradientSystem(Protocol):
 
     n_dofs: int
     free: np.ndarray
-
-    def energy(self, u: np.ndarray) -> float: ...
 
     def incremental(self, anchor: np.ndarray, tau: float): ...
 
@@ -327,7 +324,9 @@ def run_trajectory(
     """Advance the minimizing-movement scheme over N = ceil(T / tau) steps.
 
     Each step's report carries the norm of the incremental gradient on the
-    free DOFs at the accepted point.
+    free DOFs at the accepted point.  phi(u0) is read from the incremental
+    problem anchored at u0, whose record the first step starts from, so u0
+    is evaluated once.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
@@ -338,7 +337,7 @@ def run_trajectory(
     u = np.array(u0, dtype=float, copy=True)
     states = [u.copy()]
     first = StepReport(
-        energy=float(system.energy(u)),
+        energy=float(system.incremental(u, tau).parts(u)[0]),
         dist=0.0,
         newton_iters=0,
         grad_norm=float("nan"),

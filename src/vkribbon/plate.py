@@ -31,8 +31,8 @@ from .fem import (
     Q1Space,
     check_traces,
     dirichlet_1d,
-    dirichlet_2d,
-    triple_product,  # noqa: F401  (perfbench/layers.py traces it under this module)
+    dirichlet_2d,  # noqa: F401  (perfbench/layers.py traces it under this module)
+    triple_product,  # noqa: F401  (likewise)
 )
 from .forms import MaterialPair
 from .ribbon import RibbonForces, RibbonState, RibbonSystem
@@ -88,7 +88,7 @@ class PlateSystem(FieldSystem):
         self.q1 = Q1Space(mesh)
         self.bfs = BFSSpace(mesh)
         sizes = {"y1": self.q1.n_dofs, "y2": self.q1.n_dofs, "w": self.bfs.n_dofs}
-        self._set_layout(sizes, *dirichlet_2d(mesh, self.bc))
+        self._set_layout(sizes, *mesh.dirichlet(self.bc))
 
         self.wq = self.quad.weights
         self.CW = material.W.C
@@ -310,16 +310,19 @@ def build_recovery(system: PlateSystem, inputs: RecoveryInputs) -> np.ndarray:
     # the fields depend on x1 alone: give each x-node's values the ny + 1
     # nodes it owns in the x-major node order
     f = {k: np.repeat(v, mesh2.ny + 1) for k, v in fields.items()}
+    # the correctors' x2-profiles are centred on the mid-line, so the
+    # recovery of a mirrored or rotated target is the mirrored or rotated
+    # recovery
     x2 = mesh2.node_coords[1]
-    quad = 0.5 * (x2 + 0.5) ** 2
-    zint = f["za"] * (x2 + 0.5) + 0.5 * f["zb"] * (x2**2 - 0.25)
+    quad = 0.5 * x2**2
+    zint = f["za"] * x2 + 0.5 * f["zb"] * (x2**2 - 0.25)
     nodal = (
         f["xi1"] - x2 * f["dxi2"] - eps * x2 * f["dw"] * f["theta"],
         f["xi2"] - 0.5 * eps**2 * x2 * f["theta"] ** 2 + eps**2 * zint,
         f["w"] + eps * x2 * f["theta"] + eps**2 * f["gam"] * quad,
         f["dw"] + eps * x2 * f["dtheta"] + eps**2 * f["dgam"] * quad,
-        eps * f["theta"] + eps**2 * f["gam"] * (x2 + 0.5),
-        eps * f["dtheta"] + eps**2 * f["dgam"] * (x2 + 0.5),
+        eps * f["theta"] + eps**2 * f["gam"] * x2,
+        eps * f["dtheta"] + eps**2 * f["dgam"] * x2,
     )
     y1_fn, y2_fn, *w_fns = (lambda x1, x2, a=a: a for a in nodal)
     u = system.interpolate(y1_fn, y2_fn, w_fns)

@@ -246,3 +246,19 @@ def family_limit_holds(pair) -> bool:
         val = np.einsum("...i,ij,...j->...", q, C, q)
         defects.append(np.abs(val - target).max())
     return defects[-1] <= 1e-3 * scale and defects[-1] <= 1e-2 * max(defects[0], 1e-30)
+
+
+def plate_symmetry(system, u: np.ndarray, map_x1: bool) -> np.ndarray:
+    """The plate state (y1 | y2 | w) moved by the x2-mirror (x1, x2) ->
+    (x1, -x2) or, with map_x1, by the pi-rotation (x1, x2) -> (-x1, -x2).
+    The in-plane displacement turns with the map, so y2 changes sign under
+    both and y1 under the rotation; w is carried along, its derivative
+    DOFs (d1, d2, d12) taking the sign of their directions."""
+    m = system.mesh
+    i, j = np.divmod(np.arange(m.n_nodes), m.ny + 1)
+    source = m.node_index(m.nx - i if map_x1 else i, m.ny - j)
+    y1, y2, w = system.split(u)
+    sx = -1.0 if map_x1 else 1.0
+    w_signs = np.array([1.0, sx, -1.0, -sx])
+    w_new = (w.reshape(-1, 4)[source] * w_signs).ravel()
+    return np.concatenate([sx * y1[source], -y2[source], w_new])

@@ -424,8 +424,22 @@ class TestCli:
         assert main(["report", path, "--out", out]) == 0
         text = capsys.readouterr().out
         assert "ledger.csv: 6 rows" in text and "hypothesis = H1" in text
-        # without --out the scenario names the run directory, so it must exist
-        assert main(["report", path]) == 65
+        # without --out the positional names the run directory, directly or
+        # through its scenario, so a missing path is a usage error
+        assert main(["report", path]) == 64
+
+    def test_report_takes_the_run_directory_in_place_of_the_scenario(self, tmp_path, capsys):
+        path = write(tmp_path, XI2_DECAY)
+        out = str(tmp_path / "out")
+        assert main(["simulate-1d", path, "--out", out, "--quiet"]) == 0
+        capsys.readouterr()
+        assert main(["report", out]) == 0
+        text = capsys.readouterr().out
+        assert "ledger.csv: 6 rows" in text and "hypothesis = H1" in text
+        # a missing path exits 64 with the usage line
+        assert main(["report", str(tmp_path / "missing")]) == 64
+        err = capsys.readouterr().err
+        assert "usage: vkribbon report" in err and "missing" in err
 
 
 # Runs in a fresh interpreter: imports the package, then starts the program

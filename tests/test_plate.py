@@ -361,12 +361,12 @@ def pointwise_recovery(system, inputs):
 
     def w_data(x1, x2):
         f = fields(x1, x2)
-        quad = 0.5 * (x2 + 0.5) ** 2
+        quad = 0.5 * x2**2
         return (
             f["w"] + eps * x2 * f["theta"] + eps**2 * f["gam"] * quad,
             f["dw"] + eps * x2 * f["dtheta"] + eps**2 * f["dgam"] * quad,
-            eps * f["theta"] + eps**2 * f["gam"] * (x2 + 0.5),
-            eps * f["dtheta"] + eps**2 * f["dgam"] * (x2 + 0.5),
+            eps * f["theta"] + eps**2 * f["gam"] * x2,
+            eps * f["dtheta"] + eps**2 * f["dgam"] * x2,
         )
 
     def y1_fn(x1, x2):
@@ -375,7 +375,7 @@ def pointwise_recovery(system, inputs):
 
     def y2_fn(x1, x2):
         f = fields(x1, x2)
-        zint = f["za"] * (x2 + 0.5) + 0.5 * f["zb"] * (x2**2 - 0.25)
+        zint = f["za"] * x2 + 0.5 * f["zb"] * (x2**2 - 0.25)
         return f["xi2"] - 0.5 * eps**2 * x2 * f["theta"] ** 2 + eps**2 * zint
 
     w_fns = [lambda x, y, k=k: w_data(x, y)[k] for k in range(4)]
