@@ -805,16 +805,13 @@ class ElementTables:
         """Every row at every point, (r, nq * E), from one gather and one product."""
         return (self.all_e @ u[self.dofs].T).reshape(self.rows.shape[1], -1)
 
-    def split_evaluate(self, u: np.ndarray, out=None, gather=None):
+    def split_evaluate(self, u: np.ndarray, out=None):
         """The linear rows (n, nq * E) and the slope rows (ng, nq * E), views
         of one product with one gather: the mirror of split_scatter.  The
-        product goes to ``out`` (r * nq, E) and the gather to ``gather``
-        (E, k) when they are given, scratch of the caller."""
-        if gather is None:
-            G = u[self.dofs]
-        else:  # take copies a read-only index table; "clip" spares it a buffer for out
-            G = np.take(u, self.dofs, out=gather, mode="clip")
-        X = np.matmul(self.split_e, G.T, out=out).reshape(len(self.linear) + len(self.slope), -1)
+        product goes to ``out`` (r * nq, E) when it is given, scratch of the
+        caller."""
+        X = np.matmul(self.split_e, u[self.dofs].T, out=out)
+        X = X.reshape(len(self.linear) + len(self.slope), -1)
         return X[: len(self.linear)], X[len(self.linear):]
 
     def split_scatter(self, lin: np.ndarray, slope: np.ndarray) -> np.ndarray:
@@ -1128,16 +1125,14 @@ class FieldSystem:
 
     def _channels(self, u: np.ndarray, scratch=None):
         """Strain s (ns, nq * E) and slopes g (ng, nq * E), channel-major.
-        With ``scratch`` (X, spare) of ``_scratch``, the channels are views
-        of X, and spare holds the gather and the membrane products."""
-        t = self._tables
+        With ``scratch`` (X, half) of ``_scratch``, the channels are views
+        of X, and half holds the membrane products."""
         if scratch is None:
-            s, g = t.split_evaluate(u)
+            s, g = self._tables.split_evaluate(u)
             half = np.empty(g.shape[1])
         else:
-            X, spare = scratch
-            s, g = t.split_evaluate(u, X, spare[: t.dofs.size].reshape(t.dofs.shape))
-            half = spare[: g.shape[1]]
+            X, half = scratch
+            s, g = self._tables.split_evaluate(u, X)
         for k, (a, b) in enumerate(self.MEMBRANE_SLOPES):
             np.multiply(0.5, g[a], out=half)
             half *= g[b]
@@ -1147,14 +1142,14 @@ class FieldSystem:
     def _scratch(self, separate: bool):
         """Views of the mesh's workspace for one scalar evaluation: the
         product block X (r * nq, E) of ``_channels``, the channel rows S
-        (ns, nq * E) and the spare entries for its gather and membrane
-        products, which overlap S unless ``separate``."""
+        (ns, nq * E) and one row for its membrane products, which overlaps
+        S unless ``separate``."""
         t = self._tables
         e, n = len(t.dofs), len(t.point_weights)
-        x, rows, spare = len(t.split_e) * e, len(t.linear) * n, max(t.dofs.size, n)
-        start = x + rows if separate else x  # of the spare entries
-        block = self.mesh.workspace(max(x + rows, start + spare))
-        return block[:x].reshape(-1, e), block[x: x + rows].reshape(-1, n), block[start:]
+        x, rows = len(t.split_e) * e, len(t.linear) * n
+        start = x + rows if separate else x  # of the membrane row
+        block = self.mesh.workspace(max(x + rows, start + n))
+        return block[:x].reshape(-1, e), block[x: x + rows].reshape(-1, n), block[start: start + n]
 
     def _integral(self, P: np.ndarray, s: np.ndarray, out=None) -> float:
         """int P . s for channels s (ns, nq * E) and their product P with a
@@ -1241,11 +1236,10 @@ class FieldSystem:
         return self._slope_solve(self._channels(u))[0]
 
     def energy(self, u: np.ndarray) -> float:
-        """phi(u), evaluated in the mesh's workspace: the gather and the
-        membrane products go where QW s goes next, the density on a slope
-        row."""
-        X, S, spare = self._scratch(separate=False)
-        s, g = self._channels(u, (X, spare))
+        """phi(u), evaluated in the mesh's workspace: the membrane products
+        go where QW s goes next, the density on a slope row."""
+        X, S, half = self._scratch(separate=False)
+        s, g = self._channels(u, (X, half))
         PW = np.matmul(self.QW, s, out=S)
         return 0.5 * self._integral(PW, s, out=g[0]) - float(np.dot(self._force, u))
 
@@ -1253,9 +1247,9 @@ class FieldSystem:
         """D^2(ua, ub), evaluated in the mesh's workspace: ua's channels are
         kept in S while ub's are made, then d = s_a - s_b replaces them and
         QR d takes s_b's place, the density a slope row's."""
-        X, d, spare = self._scratch(separate=True)
-        d[...] = self._channels(ua, (X, spare))[0]
-        s, g = self._channels(ub, (X, spare))
+        X, d, half = self._scratch(separate=True)
+        d[...] = self._channels(ua, (X, half))[0]
+        s, g = self._channels(ub, (X, half))
         np.subtract(d, s, out=d)
         return self._integral(np.matmul(self.QR, d, out=s), d, out=g[0])
 

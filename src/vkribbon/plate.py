@@ -31,7 +31,7 @@ from .fem import (
     Q1Space,
     check_traces,
     dirichlet_1d,
-    dirichlet_2d,  # noqa: F401  (perfbench/layers.py traces it under this module)
+    dirichlet_2d,  # noqa: F401  (perfbench/layers.py wraps this name, which plates no longer call)
     triple_product,  # noqa: F401  (likewise)
 )
 from .forms import MaterialPair

@@ -31,9 +31,9 @@ def test_new_width_energy_allocates_no_channel_arrays():
     """On a 256 x 4 mesh that has evaluated one width, the energy of the
     next width (its eps-scaled rows and load vector built, once per
     system) allocates under 256 KB at its peak: the channel product, QW s
-    and the density live in the mesh's workspace.  Only the gather's copy
-    of the read-only DOF table (192 KB) is left; a fresh evaluation takes
-    3 MB."""
+    and the density live in the mesh's workspace.  Only the gather of the
+    element coefficients (E, 24), 192 KB, is left; a fresh evaluation
+    takes 3 MB."""
     ribbon = RibbonSystem(Mesh1D(l=1.0, n=256), H1)
     inputs = RecoveryInputs(ribbon.state(ribbon.interpolate(*TARGETS["generic"])))
     mesh = Mesh2D(l=1.0, nx=256, ny=4)

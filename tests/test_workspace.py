@@ -97,3 +97,16 @@ def test_shared_dirichlet_data_refuse_writes():
     for arr in (a.bc_mask, a.bc_values):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = arr[0]
+
+
+@pytest.mark.parametrize("build", [plates, ribbons])
+def test_scalar_evaluations_refuse_a_short_vector(build):
+    """A free-DOF vector is not a state: the gather's index check stops it
+    before anything is written to the workspace."""
+    system, _ = build()
+    u, v, _ = states(system, 8)
+    free = system.free
+    with pytest.raises(IndexError):
+        system.sqdist(u[free], v[free])
+    with pytest.raises(IndexError):
+        system.energy(u[free])
